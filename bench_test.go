@@ -270,7 +270,7 @@ func loadBench(b *testing.B, id string) (*graph.Graph, algorithms.Params) {
 
 func runOn(b *testing.B, p platform.Platform, g *graph.Graph, a algorithms.Algorithm, params algorithms.Params, threads int) time.Duration {
 	b.Helper()
-	up, err := p.Upload(g, platform.RunConfig{Threads: threads, Machines: 1})
+	up, err := p.Upload(b.Context(), g, platform.RunConfig{Threads: threads, Machines: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -657,7 +657,7 @@ func BenchmarkEngineExecute(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		up, err := p.Upload(g, platform.RunConfig{Threads: benchThreads, Machines: 1})
+		up, err := p.Upload(b.Context(), g, platform.RunConfig{Threads: benchThreads, Machines: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

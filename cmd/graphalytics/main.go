@@ -404,7 +404,7 @@ func cmdRun(ctx context.Context, args []string) error {
 		return err
 	}
 	// The SLA window opens before upload, and the upload itself is
-	// cancellable: all bundled engines implement platform.ContextUploader.
+	// cancellable: Platform.Upload takes the job context.
 	jctx, cancel := context.WithTimeout(ctx, *sla)
 	defer cancel()
 	up, err := platform.UploadContext(jctx, pl, g, platform.RunConfig{Threads: *threads, Machines: *machines, Net: graphalytics.DefaultNetwork()})

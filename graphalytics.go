@@ -118,8 +118,7 @@ func PaperName(engine string) string {
 
 // Run executes one algorithm on one platform end to end (upload, execute,
 // free) and returns the platform result. The context gates the whole job:
-// all bundled engines honor it during upload too (they implement
-// platform.ContextUploader), so a deadline or cancellation interrupts a
+// Platform.Upload takes it too, so a deadline or cancellation interrupts a
 // pathological upload instead of waiting it out. It is the simplest entry
 // point:
 //

@@ -26,11 +26,11 @@ type faultyPlatform struct {
 
 func (f *faultyPlatform) Name() string { return f.name }
 
-func (f *faultyPlatform) Upload(g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
+func (f *faultyPlatform) Upload(ctx context.Context, g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
 	if f.mode == "upload-error" {
 		return nil, &cluster.OOMError{Machine: 0, Requested: 1, Budget: 0}
 	}
-	return f.Platform.Upload(g, cfg)
+	return f.Platform.Upload(ctx, g, cfg)
 }
 
 func (f *faultyPlatform) Execute(ctx context.Context, up platform.Uploaded, a algorithms.Algorithm, p algorithms.Params) (*platform.Result, error) {

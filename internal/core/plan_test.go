@@ -41,8 +41,8 @@ func (u *countingUpload) Free() {
 	u.Uploaded.Free()
 }
 
-func (c *countingPlatform) Upload(g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
-	up, err := c.Platform.Upload(g, cfg)
+func (c *countingPlatform) Upload(ctx context.Context, g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
+	up, err := c.Platform.Upload(ctx, g, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -329,7 +329,7 @@ func TestSharedUploadOutputsBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := platform.RunConfig{Threads: 2, Machines: 1}
-		shared, err := p.Upload(g, cfg)
+		shared, err := p.Upload(t.Context(), g, cfg)
 		if err != nil {
 			t.Fatalf("%s: upload: %v", name, err)
 		}
@@ -341,7 +341,7 @@ func TestSharedUploadOutputsBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s shared execute: %v", name, a, err)
 			}
-			fresh, err := p.Upload(g, cfg)
+			fresh, err := p.Upload(t.Context(), g, cfg)
 			if err != nil {
 				t.Fatalf("%s: fresh upload: %v", name, err)
 			}
@@ -449,7 +449,7 @@ func TestDescriptionCompileShares(t *testing.T) {
 	}
 }
 
-// hangingUploader blocks in UploadContext until the context ends — the
+// hangingUploader blocks in Upload until the context ends — the
 // pathological upload the SLA timer must now be able to interrupt.
 type hangingUploader struct {
 	platform.Platform
@@ -457,7 +457,7 @@ type hangingUploader struct {
 
 func (h *hangingUploader) Name() string { return "hang-upload" }
 
-func (h *hangingUploader) UploadContext(ctx context.Context, g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
+func (h *hangingUploader) Upload(ctx context.Context, g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
 	<-ctx.Done()
 	return nil, platform.CheckContext(ctx)
 }

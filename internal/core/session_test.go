@@ -245,9 +245,9 @@ type slowUploadPlatform struct {
 
 func (p *slowUploadPlatform) Name() string { return "slow-upload" }
 
-func (p *slowUploadPlatform) Upload(g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
+func (p *slowUploadPlatform) Upload(ctx context.Context, g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
 	time.Sleep(p.delay)
-	return p.Platform.Upload(g, cfg)
+	return p.Platform.Upload(ctx, g, cfg)
 }
 
 var slowUploadOnce sync.Once

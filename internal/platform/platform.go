@@ -95,35 +95,23 @@ type Platform interface {
 	// Supports reports whether the platform implements the algorithm
 	// (mirroring the paper: e.g. the push-pull engine has no LCC).
 	Supports(a algorithms.Algorithm) bool
-	// Upload pre-processes the graph into the platform's format.
-	Upload(g *graph.Graph, cfg RunConfig) (Uploaded, error)
+	// Upload pre-processes the graph into the platform's format. Engines
+	// check ctx during long conversions and return a wrapped context
+	// error, without leaking resources, once it ends.
+	Upload(ctx context.Context, g *graph.Graph, cfg RunConfig) (Uploaded, error)
 	// Execute runs one algorithm job on an uploaded graph. The context
 	// carries the SLA deadline; engines must abandon work once it is
 	// cancelled.
 	Execute(ctx context.Context, up Uploaded, a algorithms.Algorithm, p algorithms.Params) (*Result, error)
 }
 
-// ContextUploader is implemented by platforms whose Upload honors a
-// context: a pathological upload can then be cancelled by the harness's
-// SLA timer while it runs, instead of only being checked after it
-// returns. All engines in this repository implement it; external drivers
-// may omit it and fall back to a post-upload check (see UploadContext).
-type ContextUploader interface {
-	// UploadContext is Upload gated by ctx: it returns a wrapped context
-	// error — without leaking resources — once ctx ends.
-	UploadContext(ctx context.Context, g *graph.Graph, cfg RunConfig) (Uploaded, error)
-}
-
-// UploadContext uploads g through p under ctx. Platforms implementing
-// ContextUploader are cancelled mid-upload; for the rest the upload runs
-// to completion and ctx is checked afterwards, freeing the upload if the
-// context ended in the meantime. The returned error wraps ctx's error in
-// both cases, so callers classify cancellation uniformly.
+// UploadContext uploads g through p under ctx: the harness's entry point
+// to Upload. Engines abandon a long upload once ctx ends; an upload that
+// completes anyway is freed if ctx ended in the meantime. Either way the
+// returned error wraps ctx's error, so callers classify cancellation
+// uniformly.
 func UploadContext(ctx context.Context, p Platform, g *graph.Graph, cfg RunConfig) (Uploaded, error) {
-	if cu, ok := p.(ContextUploader); ok {
-		return cu.UploadContext(ctx, g, cfg)
-	}
-	up, err := p.Upload(g, cfg)
+	up, err := p.Upload(ctx, g, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -142,10 +130,28 @@ var ErrNotDistributed = fmt.Errorf("platform: not a distributed platform")
 // requested algorithm.
 var ErrUnsupported = fmt.Errorf("platform: algorithm not supported")
 
-// BaseUpload is a helper embedding for Uploaded implementations.
+// BaseUpload is a helper embedding for Uploaded implementations: the
+// graph, its deployment, and the graph memory registered on each machine.
 type BaseUpload struct {
 	G  *graph.Graph
 	Cl *cluster.Cluster
+	// Bytes[m] is the graph memory registered on machine m.
+	Bytes []int64
+}
+
+// Register registers bytes[m] on every machine m as the upload's graph
+// memory. When a machine's budget is exhausted it releases what it had
+// registered and returns the out-of-memory error.
+func (b *BaseUpload) Register(bytes []int64) error {
+	for m, n := range bytes {
+		if err := b.Cl.Alloc(m, n); err != nil {
+			b.Bytes = bytes[:m]
+			b.Free()
+			return err
+		}
+	}
+	b.Bytes = bytes
+	return nil
 }
 
 // Graph returns the uploaded graph.
@@ -154,8 +160,13 @@ func (b *BaseUpload) Graph() *graph.Graph { return b.G }
 // Cluster returns the simulated deployment.
 func (b *BaseUpload) Cluster() *cluster.Cluster { return b.Cl }
 
-// Free is a no-op default; engines with registered memory override it.
-func (b *BaseUpload) Free() {}
+// Free releases the upload's registered graph memory.
+func (b *BaseUpload) Free() {
+	for m, n := range b.Bytes {
+		b.Cl.Free(m, n)
+	}
+	b.Bytes = nil
+}
 
 // NewResult assembles a Result from a finished tracker, the job's cluster,
 // and the algorithm output. It sets ProcessingTime from the archive's

@@ -19,7 +19,7 @@ func (f *fake) Name() string                         { return f.name }
 func (f *fake) Description() string                  { return "fake" }
 func (f *fake) Distributed() bool                    { return false }
 func (f *fake) Supports(a algorithms.Algorithm) bool { return a == algorithms.BFS }
-func (f *fake) Upload(g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
+func (f *fake) Upload(ctx context.Context, g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
 	return &platform.BaseUpload{G: g, Cl: cluster.New(cfg.ClusterConfig())}, nil
 }
 func (f *fake) Execute(ctx context.Context, up platform.Uploaded, a algorithms.Algorithm, p algorithms.Params) (*platform.Result, error) {

@@ -9,11 +9,13 @@ package conformance
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"graphalytics/internal/algorithms"
+	"graphalytics/internal/cluster"
 	"graphalytics/internal/graph"
 	"graphalytics/internal/platform"
 	"graphalytics/internal/validation"
@@ -211,7 +213,7 @@ func Run(t *testing.T, p platform.Platform) {
 	for _, c := range Corpus() {
 		for _, cfg := range Configs(p) {
 			rc := platform.RunConfig{Threads: cfg.Threads, Machines: cfg.Machines}
-			up, err := p.Upload(c.Graph, rc)
+			up, err := p.Upload(t.Context(), c.Graph, rc)
 			if err != nil {
 				t.Fatalf("%s: upload %s (t=%d,m=%d): %v", p.Name(), c.Name, cfg.Threads, cfg.Machines, err)
 			}
@@ -225,8 +227,7 @@ func Run(t *testing.T, p platform.Platform) {
 					if err != nil {
 						t.Fatalf("reference: %v", err)
 					}
-					//graphalint:ctxbg test-harness root: each conformance check owns a test-scoped context
-					ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+					ctx, cancel := context.WithTimeout(t.Context(), time.Minute)
 					defer cancel()
 					res, err := p.Execute(ctx, up, a, c.Params)
 					if err != nil {
@@ -256,13 +257,12 @@ func RunCancellation(t *testing.T, p platform.Platform) {
 	t.Helper()
 	c := Corpus()[6] // random-directed: enough work that every engine loops
 	rc := platform.RunConfig{Threads: 2, Machines: 1}
-	up, err := p.Upload(c.Graph, rc)
+	up, err := p.Upload(t.Context(), c.Graph, rc)
 	if err != nil {
 		t.Fatalf("upload: %v", err)
 	}
 	defer up.Free()
-	//graphalint:ctxbg test-harness root: the cancellation check mints the context it cancels
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(t.Context())
 	cancel()
 	for _, a := range algorithms.All {
 		if !p.Supports(a) {
@@ -283,14 +283,13 @@ func RunDeterminism(t *testing.T, p platform.Platform, a algorithms.Algorithm) {
 	}
 	c := Corpus()[6] // random-directed
 	rc := platform.RunConfig{Threads: 4, Machines: 1}
-	up, err := p.Upload(c.Graph, rc)
+	up, err := p.Upload(t.Context(), c.Graph, rc)
 	if err != nil {
 		t.Fatalf("upload: %v", err)
 	}
 	defer up.Free()
 	run := func() *algorithms.Output {
-		//graphalint:ctxbg test-harness root: each conformance check owns a test-scoped context
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		ctx, cancel := context.WithTimeout(t.Context(), time.Minute)
 		defer cancel()
 		res, err := p.Execute(ctx, up, a, c.Params)
 		if err != nil {
@@ -309,6 +308,64 @@ func RunDeterminism(t *testing.T, p platform.Platform, a algorithms.Algorithm) {
 		for i := range first.Int {
 			if first.Int[i] != second.Int[i] {
 				t.Fatalf("nondeterministic output at %d: %d vs %d", i, first.Int[i], second.Int[i])
+			}
+		}
+	}
+}
+
+// RunStateOOM verifies the Execute-time out-of-memory path. For every
+// supported algorithm it uploads under two per-machine budgets, each too
+// small for the busiest machine to also register the algorithm's working
+// state, and requires Execute to fail with an error wrapping
+// cluster.ErrOutOfMemory:
+//
+//   - the upload's own peak, where no machine has room left;
+//   - one byte short of the upload's peak plus the state, where every
+//     machine but the busiest registers its state before the busiest
+//     fails.
+//
+// Once the upload is freed, every machine must be able to register the
+// full budget again: a state registration that failed part-way must have
+// released the machines it had already claimed.
+func RunStateOOM(t *testing.T, p platform.Platform) {
+	t.Helper()
+	c := Corpus()[6] // random-directed
+	upload := func(budget int64) platform.Uploaded {
+		rc := platform.RunConfig{Threads: 2, Machines: 1, MemoryPerMachine: budget}
+		if p.Distributed() {
+			rc.Machines = 3
+		}
+		up, err := p.Upload(t.Context(), c.Graph, rc)
+		if err != nil {
+			t.Fatalf("%s: upload with budget %d: %v", p.Name(), budget, err)
+		}
+		return up
+	}
+	for _, a := range algorithms.All {
+		if !p.Supports(a) {
+			continue
+		}
+		probe := upload(0)
+		uploadPeak := probe.Cluster().PeakMemory()
+		res, err := p.Execute(t.Context(), probe, a, c.Params)
+		probe.Free()
+		if err != nil {
+			t.Fatalf("%s/%s: unbounded execute: %v", p.Name(), a, err)
+		}
+		state := res.PeakMemory - uploadPeak
+		for _, budget := range []int64{uploadPeak, uploadPeak + state - 1} {
+			up := upload(budget)
+			if _, err := p.Execute(t.Context(), up, a, c.Params); !errors.Is(err, cluster.ErrOutOfMemory) {
+				t.Errorf("%s/%s: execute with budget %d: got %v, want ErrOutOfMemory", p.Name(), a, budget, err)
+			}
+			cl := up.Cluster()
+			up.Free()
+			for m := 0; m < cl.Machines(); m++ {
+				if err := cl.Alloc(m, budget); err != nil {
+					t.Errorf("%s/%s: machine %d still holds memory after Free: %v", p.Name(), a, m, err)
+					continue
+				}
+				cl.Free(m, budget)
 			}
 		}
 	}

@@ -40,7 +40,7 @@ func allocGraph(t testing.TB, n, deg int) *graph.Graph {
 // a fresh [][]keyed inbox, tens of thousands of objects on this graph.
 func TestWCCSteadyStateAllocs(t *testing.T) {
 	g := allocGraph(t, 4000, 4)
-	up, err := New().Upload(g, platform.RunConfig{Threads: 4, Machines: 1})
+	up, err := New().Upload(t.Context(), g, platform.RunConfig{Threads: 4, Machines: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestWCCSteadyStateAllocs(t *testing.T) {
 // arrays plus a constant number of round descriptors.
 func TestCDLPSteadyStateAllocs(t *testing.T) {
 	g := allocGraph(t, 4000, 4)
-	up, err := New().Upload(g, platform.RunConfig{Threads: 4, Machines: 1})
+	up, err := New().Upload(t.Context(), g, platform.RunConfig{Threads: 4, Machines: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

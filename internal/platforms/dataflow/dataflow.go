@@ -27,7 +27,6 @@ import (
 
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/cluster"
-	"graphalytics/internal/granula"
 	"graphalytics/internal/graph"
 	"graphalytics/internal/mplane"
 	"graphalytics/internal/platform"
@@ -89,16 +88,13 @@ type uploaded struct {
 	// machine m, precomputed from the routing tables.
 	shipBytes []int64
 	degrees   []int32 // out-degrees dataset, precomputed at load
-	bytes     []int64
 	// scratch caches the shuffle plane (staging buffers, CSR inbox,
 	// frontier flags, label histogram) between Execute calls.
 	scratch mplane.Pool
 }
 
 func (u *uploaded) Free() {
-	for m, b := range u.bytes {
-		u.Cl.Free(m, b)
-	}
+	u.BaseUpload.Free()
 	u.eparts = nil
 }
 
@@ -111,17 +107,10 @@ const (
 
 // Upload implements platform.Platform: it materializes the edge and vertex
 // datasets, builds routing tables, and registers the (substantial) memory
-// the dataflow representation occupies.
-func (e *Engine) Upload(g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
-	//graphalint:ctxbg ctx-less platform.Platform compatibility method; UploadContext is the ctx-first path
-	return e.UploadContext(context.Background(), g, cfg)
-}
-
-// UploadContext implements platform.ContextUploader: the context is
-// checked between the materialization phases and periodically inside the
-// per-vertex edge scan, so an SLA timer cancels a pathological upload
-// mid-flight.
-func (e *Engine) UploadContext(ctx context.Context, g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
+// the dataflow representation occupies. The context is checked between
+// the materialization phases and periodically inside the per-vertex edge
+// scan, so an SLA timer cancels a pathological upload mid-flight.
+func (e *Engine) Upload(ctx context.Context, g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
 	if err := platform.CheckContext(ctx); err != nil {
 		return nil, err
 	}
@@ -140,7 +129,6 @@ func (e *Engine) UploadContext(ctx context.Context, g *graph.Graph, cfg platform
 		emachine:   make([]int32, nep),
 		shipBytes:  make([]int64, M),
 		degrees:    make([]int32, n),
-		bytes:      make([]int64, M),
 	}
 	u.machEparts = make([][]int, M)
 	u.machVparts = make([][]int, M)
@@ -211,12 +199,8 @@ func (e *Engine) UploadContext(ctx context.Context, g *graph.Graph, cfg platform
 	for p, verts := range u.vparts {
 		perMachine[u.machineOf[p]] += int64(len(verts)) * 24
 	}
-	for m := 0; m < M; m++ {
-		if err := cl.Alloc(m, perMachine[m]); err != nil {
-			u.Free()
-			return nil, fmt.Errorf("dataflow: upload %s: %w", g.Name(), err)
-		}
-		u.bytes[m] = perMachine[m]
+	if err := u.Register(perMachine); err != nil {
+		return nil, fmt.Errorf("dataflow: upload %s: %w", g.Name(), err)
 	}
 	return u, nil
 }
@@ -239,94 +223,38 @@ func distinct(xs []int32) []int32 {
 
 // Execute implements platform.Platform.
 func (e *Engine) Execute(ctx context.Context, up platform.Uploaded, a algorithms.Algorithm, p algorithms.Params) (*platform.Result, error) {
-	if !e.Supports(a) {
-		return nil, fmt.Errorf("%w: %s on dataflow", platform.ErrUnsupported, a)
-	}
-	u, ok := up.(*uploaded)
-	if !ok {
-		return nil, fmt.Errorf("dataflow: foreign upload handle %T", up)
-	}
-	p = p.WithDefaults(a)
-	cl := u.Cl
-
-	t := granula.NewTracker(fmt.Sprintf("%s/%s", a, u.G.Name()), e.Name())
-	t.Begin(granula.PhaseSetup)
-	// Message buffers and join maps: the engine re-materializes these per
-	// iteration; the registration covers the peak of one iteration.
-	state := int64(u.G.NumVertices()) * 48
-	for m := 0; m < cl.Machines(); m++ {
-		if err := cl.Alloc(m, state); err != nil {
-			t.End()
-			return nil, fmt.Errorf("dataflow: allocate shuffle buffers: %w", err)
-		}
-		defer cl.Free(m, state)
-	}
-	t.End()
-
-	cl.ResetTime()
-	t.Begin(granula.PhaseProcess)
-	out, err := e.runAlgorithm(ctx, u, a, p)
-	t.Annotate("rounds", fmt.Sprint(cl.Rounds()))
-	t.Annotate("edge_partitions", fmt.Sprint(len(u.eparts)))
-	t.Current().Modeled = cl.SimulatedTime()
-	t.End()
-	if err != nil {
-		return nil, err
-	}
-	t.Begin(granula.PhaseOffload)
-	t.End()
-	return platform.NewResult(t, cl, out), nil
+	return platform.Execute(ctx, e, up, a, p, platform.Hooks[*uploaded]{
+		StateBytes: shuffleBytes,
+		Run:        run,
+		Process: func(j *platform.Job[*uploaded]) {
+			j.Annotate("rounds", j.Upload.Cl.Rounds())
+			j.Annotate("edge_partitions", len(j.Upload.eparts))
+		},
+	})
 }
 
-func (e *Engine) runAlgorithm(ctx context.Context, u *uploaded, a algorithms.Algorithm, p algorithms.Params) (*algorithms.Output, error) {
-	switch a {
+// shuffleBytes covers the message buffers and join maps: the engine
+// re-materializes these per iteration, so the registration covers the
+// peak of one iteration, on every machine.
+func shuffleBytes(u *uploaded, _ algorithms.Algorithm) int64 {
+	return int64(u.G.NumVertices()) * 48
+}
+
+func run(ctx context.Context, j *platform.Job[*uploaded]) (*algorithms.Output, error) {
+	u, p := j.Upload, j.Params
+	switch j.Algorithm {
 	case algorithms.BFS:
-		src, ok := u.G.Index(p.Source)
-		if !ok {
-			return nil, fmt.Errorf("dataflow: %w: %d", algorithms.ErrSourceNotFound, p.Source)
-		}
-		vals, err := bfsFlow(ctx, u, src)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: vals}, nil
+		return j.Ints(bfsFlow(ctx, u, j.Source))
 	case algorithms.PR:
-		vals, err := prFlow(ctx, u, p.Iterations, p.Damping)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Float: vals}, nil
+		return j.Floats(prFlow(ctx, u, p.Iterations, p.Damping))
 	case algorithms.WCC:
-		vals, err := wccFlow(ctx, u)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: vals}, nil
+		return j.Ints(wccFlow(ctx, u))
 	case algorithms.CDLP:
-		vals, err := cdlpFlow(ctx, u, p.Iterations)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: vals}, nil
+		return j.Ints(cdlpFlow(ctx, u, p.Iterations))
 	case algorithms.LCC:
-		vals, err := lccFlow(ctx, u)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Float: vals}, nil
+		return j.Floats(lccFlow(ctx, u))
 	case algorithms.SSSP:
-		if !u.G.Weighted() {
-			return nil, algorithms.ErrNeedsWeights
-		}
-		src, ok := u.G.Index(p.Source)
-		if !ok {
-			return nil, fmt.Errorf("dataflow: %w: %d", algorithms.ErrSourceNotFound, p.Source)
-		}
-		vals, err := ssspFlow(ctx, u, src)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Float: vals}, nil
+		return j.Floats(ssspFlow(ctx, u, j.Source))
 	}
-	return nil, fmt.Errorf("%w: %s", platform.ErrUnsupported, a)
+	return nil, fmt.Errorf("%w: %s", platform.ErrUnsupported, j.Algorithm)
 }

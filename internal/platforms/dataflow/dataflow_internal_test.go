@@ -14,7 +14,7 @@ func TestUploadRoutingTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	up, err := New().Upload(g, platform.RunConfig{Threads: 1, Machines: 2})
+	up, err := New().Upload(t.Context(), g, platform.RunConfig{Threads: 1, Machines: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

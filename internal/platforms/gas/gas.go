@@ -22,7 +22,6 @@ import (
 
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/cluster"
-	"graphalytics/internal/granula"
 	"graphalytics/internal/graph"
 	"graphalytics/internal/mplane"
 	"graphalytics/internal/platform"
@@ -107,7 +106,6 @@ type uploaded struct {
 	bcastCount  []int64
 	// masterVerts[m] lists the vertices mastered on machine m.
 	masterVerts [][]int32
-	bytes       []int64
 	// labelOff is the static CSR layout of the CDLP label gather: vertex
 	// v's incoming labels land in labelBuf[labelOff[v]:labelOff[v+1]].
 	// Every iteration gathers every arc, so the per-vertex capacity is a
@@ -121,23 +119,15 @@ type uploaded struct {
 }
 
 func (u *uploaded) Free() {
-	for m, b := range u.bytes {
-		u.Cl.Free(m, b)
-	}
+	u.BaseUpload.Free()
 	u.local = nil
 }
 
 // Upload implements platform.Platform: it builds the vertex-cut and each
-// machine's sorted arc store.
-func (e *Engine) Upload(g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
-	//graphalint:ctxbg ctx-less platform.Platform compatibility method; UploadContext is the ctx-first path
-	return e.UploadContext(context.Background(), g, cfg)
-}
-
-// UploadContext implements platform.ContextUploader: the context is
-// checked before the vertex-cut, between per-machine arc-store builds
-// (the expensive sorts), and before the label layout.
-func (e *Engine) UploadContext(ctx context.Context, g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
+// machine's sorted arc store. The context is checked before the
+// vertex-cut, between per-machine arc-store builds (the expensive sorts),
+// and before the label layout.
+func (e *Engine) Upload(ctx context.Context, g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
 	if err := platform.CheckContext(ctx); err != nil {
 		return nil, err
 	}
@@ -151,7 +141,6 @@ func (e *Engine) UploadContext(ctx context.Context, g *graph.Graph, cfg platform
 		mirrorCount:  make([]int64, cl.Machines()),
 		bcastCount:   make([]int64, cl.Machines()),
 		masterVerts:  make([][]int32, cl.Machines()),
-		bytes:        make([]int64, cl.Machines()),
 	}
 	for v, reps := range part.Replicas {
 		u.replicaCount[v] = int32(len(reps))
@@ -164,9 +153,9 @@ func (e *Engine) UploadContext(ctx context.Context, g *graph.Graph, cfg platform
 			}
 		}
 	}
-	for m := 0; m < cl.Machines(); m++ {
+	perMachine := make([]int64, cl.Machines())
+	for m := range perMachine {
 		if err := platform.CheckContext(ctx); err != nil {
-			u.Free()
 			return nil, err
 		}
 		u.local[m] = buildMachineArcs(g, part.Arcs[m])
@@ -175,16 +164,13 @@ func (e *Engine) UploadContext(ctx context.Context, g *graph.Graph, cfg platform
 		if g.Weighted() {
 			perArc += 8
 		}
-		bytes := int64(len(u.local[m].arcs))*perArc + int64(u.mirrorCount[m])*16
-		if err := cl.Alloc(m, bytes); err != nil {
-			u.Free()
-			return nil, fmt.Errorf("gas: upload %s: %w", g.Name(), err)
-		}
-		u.bytes[m] = bytes
+		perMachine[m] = int64(len(u.local[m].arcs))*perArc + int64(u.mirrorCount[m])*16
 	}
 	if err := platform.CheckContext(ctx); err != nil {
-		u.Free()
 		return nil, err
+	}
+	if err := u.Register(perMachine); err != nil {
+		return nil, fmt.Errorf("gas: upload %s: %w", g.Name(), err)
 	}
 	u.buildLabelLayout(g)
 	return u, nil
@@ -277,92 +263,37 @@ func edgeWeight(g *graph.Graph, src, dst int32) float64 {
 
 // Execute implements platform.Platform.
 func (e *Engine) Execute(ctx context.Context, up platform.Uploaded, a algorithms.Algorithm, p algorithms.Params) (*platform.Result, error) {
-	if !e.Supports(a) {
-		return nil, fmt.Errorf("%w: %s on gas", platform.ErrUnsupported, a)
-	}
-	u, ok := up.(*uploaded)
-	if !ok {
-		return nil, fmt.Errorf("gas: foreign upload handle %T", up)
-	}
-	p = p.WithDefaults(a)
-	cl := u.Cl
-
-	t := granula.NewTracker(fmt.Sprintf("%s/%s", a, u.G.Name()), e.Name())
-	t.Begin(granula.PhaseSetup)
-	state := int64(u.G.NumVertices()) * 24 // value + accumulator + flags
-	for m := 0; m < cl.Machines(); m++ {
-		if err := cl.Alloc(m, state/int64(cl.Machines())); err != nil {
-			t.End()
-			return nil, fmt.Errorf("gas: allocate state: %w", err)
-		}
-		defer cl.Free(m, state/int64(cl.Machines()))
-	}
-	t.Annotate("replication_factor", fmt.Sprintf("%.2f", u.part.ReplicationFactor()))
-	t.End()
-
-	cl.ResetTime()
-	t.Begin(granula.PhaseProcess)
-	out, err := e.runAlgorithm(ctx, u, a, p)
-	t.Annotate("rounds", fmt.Sprint(cl.Rounds()))
-	t.Current().Modeled = cl.SimulatedTime()
-	t.End()
-	if err != nil {
-		return nil, err
-	}
-	t.Begin(granula.PhaseOffload)
-	t.End()
-	return platform.NewResult(t, cl, out), nil
+	return platform.Execute(ctx, e, up, a, p, platform.Hooks[*uploaded]{
+		StateBytes: stateBytes,
+		Setup: func(j *platform.Job[*uploaded]) {
+			j.Annotate("replication_factor", fmt.Sprintf("%.2f", j.Upload.part.ReplicationFactor()))
+		},
+		Run:     run,
+		Process: func(j *platform.Job[*uploaded]) { j.Annotate("rounds", j.Upload.Cl.Rounds()) },
+	})
 }
 
-func (e *Engine) runAlgorithm(ctx context.Context, u *uploaded, a algorithms.Algorithm, p algorithms.Params) (*algorithms.Output, error) {
-	switch a {
+// stateBytes is one machine's share of the per-vertex value, accumulator
+// and flags.
+func stateBytes(u *uploaded, _ algorithms.Algorithm) int64 {
+	return int64(u.G.NumVertices()) * 24 / int64(u.Cl.Machines())
+}
+
+func run(ctx context.Context, j *platform.Job[*uploaded]) (*algorithms.Output, error) {
+	u, p := j.Upload, j.Params
+	switch j.Algorithm {
 	case algorithms.BFS:
-		src, ok := u.G.Index(p.Source)
-		if !ok {
-			return nil, fmt.Errorf("gas: %w: %d", algorithms.ErrSourceNotFound, p.Source)
-		}
-		vals, err := bfsGAS(ctx, u, src)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: vals}, nil
+		return j.Ints(bfsGAS(ctx, u, j.Source))
 	case algorithms.PR:
-		vals, err := prGAS(ctx, u, p.Iterations, p.Damping)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Float: vals}, nil
+		return j.Floats(prGAS(ctx, u, p.Iterations, p.Damping))
 	case algorithms.WCC:
-		vals, err := wccGAS(ctx, u)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: vals}, nil
+		return j.Ints(wccGAS(ctx, u))
 	case algorithms.CDLP:
-		vals, err := cdlpGAS(ctx, u, p.Iterations)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: vals}, nil
+		return j.Ints(cdlpGAS(ctx, u, p.Iterations))
 	case algorithms.LCC:
-		vals, err := lccGAS(ctx, u)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Float: vals}, nil
+		return j.Floats(lccGAS(ctx, u))
 	case algorithms.SSSP:
-		if !u.G.Weighted() {
-			return nil, algorithms.ErrNeedsWeights
-		}
-		src, ok := u.G.Index(p.Source)
-		if !ok {
-			return nil, fmt.Errorf("gas: %w: %d", algorithms.ErrSourceNotFound, p.Source)
-		}
-		vals, err := ssspGAS(ctx, u, src)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Float: vals}, nil
+		return j.Floats(ssspGAS(ctx, u, j.Source))
 	}
-	return nil, fmt.Errorf("%w: %s", platform.ErrUnsupported, a)
+	return nil, fmt.Errorf("%w: %s", platform.ErrUnsupported, j.Algorithm)
 }

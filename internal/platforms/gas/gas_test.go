@@ -24,3 +24,7 @@ func TestDeterminism(t *testing.T) {
 func TestCancellation(t *testing.T) {
 	conformance.RunCancellation(t, gas.New())
 }
+
+func TestStateOOM(t *testing.T) {
+	conformance.RunStateOOM(t, gas.New())
+}

@@ -46,7 +46,7 @@ func allocGraph(t testing.TB, n, deg int, weighted bool) *graph.Graph {
 // the frontier churn.
 func TestCDLPSteadyStateAllocs(t *testing.T) {
 	g := allocGraph(t, 4000, 4, false)
-	up, err := New().Upload(g, platform.RunConfig{Threads: 4, Machines: 1})
+	up, err := New().Upload(t.Context(), g, platform.RunConfig{Threads: 4, Machines: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestCDLPSteadyStateAllocs(t *testing.T) {
 // plus one round descriptor per relax phase.
 func TestSSSPSteadyStateAllocs(t *testing.T) {
 	g := allocGraph(t, 4000, 4, true)
-	up, err := New().Upload(g, platform.RunConfig{Threads: 4, Machines: 1})
+	up, err := New().Upload(t.Context(), g, platform.RunConfig{Threads: 4, Machines: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/cluster"
-	"graphalytics/internal/granula"
 	"graphalytics/internal/graph"
 	"graphalytics/internal/mplane"
 	"graphalytics/internal/platform"
@@ -49,7 +48,6 @@ func (e *Engine) Supports(a algorithms.Algorithm) bool {
 
 type uploaded struct {
 	platform.BaseUpload
-	bytes int64
 	// scratch caches the kernels' per-job working buffers (delta-stepping
 	// bucket state, CDLP frontier stamps and histogram) across Execute
 	// calls on one upload, so steady-state runs allocate only their output
@@ -57,132 +55,56 @@ type uploaded struct {
 	scratch mplane.Pool
 }
 
-func (u *uploaded) Free() {
-	u.Cl.Free(0, u.bytes)
-}
-
 // Upload implements platform.Platform. The native engine runs on the CSR
-// directly, so upload only registers the graph's memory against the
-// machine budget.
-func (e *Engine) Upload(g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
-	//graphalint:ctxbg ctx-less platform.Platform compatibility method; UploadContext is the ctx-first path
-	return e.UploadContext(context.Background(), g, cfg)
-}
-
-// UploadContext implements platform.ContextUploader. Native upload is a
-// single allocation, so the context is checked once up front.
-func (e *Engine) UploadContext(ctx context.Context, g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
+// directly, so upload is a single registration of the graph's memory
+// against the machine budget, and the context is checked once up front.
+func (e *Engine) Upload(ctx context.Context, g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
 	if err := platform.CheckContext(ctx); err != nil {
 		return nil, err
 	}
 	if cfg.Machines > 1 {
 		return nil, fmt.Errorf("%w: native engine supports one machine", platform.ErrNotDistributed)
 	}
-	cl := cluster.New(cfg.ClusterConfig())
-	bytes := g.MemoryFootprint()
-	if err := cl.Alloc(0, bytes); err != nil {
+	u := &uploaded{BaseUpload: platform.BaseUpload{G: g, Cl: cluster.New(cfg.ClusterConfig())}}
+	if err := u.Register([]int64{g.MemoryFootprint()}); err != nil {
 		return nil, fmt.Errorf("native: upload %s: %w", g.Name(), err)
 	}
-	return &uploaded{BaseUpload: platform.BaseUpload{G: g, Cl: cl}, bytes: bytes}, nil
+	return u, nil
 }
 
 // Execute implements platform.Platform.
 func (e *Engine) Execute(ctx context.Context, up platform.Uploaded, a algorithms.Algorithm, p algorithms.Params) (*platform.Result, error) {
-	if !e.Supports(a) {
-		return nil, fmt.Errorf("%w: %s on native", platform.ErrUnsupported, a)
-	}
-	u, ok := up.(*uploaded)
-	if !ok {
-		return nil, fmt.Errorf("native: foreign upload handle %T", up)
-	}
-	p = p.WithDefaults(a)
-	g := u.G
-	cl := u.Cl
-
-	t := granula.NewTracker(fmt.Sprintf("%s/%s", a, g.Name()), e.Name())
-	t.Begin(granula.PhaseSetup)
-	stateBytes := stateFootprint(g, a)
-	if err := cl.Alloc(0, stateBytes); err != nil {
-		return nil, fmt.Errorf("native: allocate state for %s: %w", a, err)
-	}
-	defer cl.Free(0, stateBytes)
-	t.End()
-
-	cl.ResetTime()
-	t.Begin(granula.PhaseProcess)
-	out, err := e.run(ctx, u, a, p)
-	t.Annotate("threads", fmt.Sprint(cl.Threads()))
-	t.Current().Modeled = cl.SimulatedTime()
-	t.End()
-	if err != nil {
-		return nil, err
-	}
-
-	t.Begin(granula.PhaseOffload)
-	// Output already lives in harness-visible arrays; nothing to convert.
-	t.End()
-	return platform.NewResult(t, cl, out), nil
+	return platform.Execute(ctx, e, up, a, p, platform.Hooks[*uploaded]{
+		StateBytes: stateFootprint,
+		Run:        run,
+		Process:    func(j *platform.Job[*uploaded]) { j.Annotate("threads", j.Upload.Cl.Threads()) },
+	})
 }
 
 // run dispatches to the algorithm kernels.
-func (e *Engine) run(ctx context.Context, u *uploaded, a algorithms.Algorithm, p algorithms.Params) (*algorithms.Output, error) {
-	g, cl := u.G, u.Cl
-	switch a {
+func run(ctx context.Context, j *platform.Job[*uploaded]) (*algorithms.Output, error) {
+	u, p := j.Upload, j.Params
+	switch j.Algorithm {
 	case algorithms.BFS:
-		src, ok := g.Index(p.Source)
-		if !ok {
-			return nil, fmt.Errorf("native: %w: %d", algorithms.ErrSourceNotFound, p.Source)
-		}
-		depth, err := bfs(ctx, g, cl, src)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: depth}, nil
+		return j.Ints(bfs(ctx, u.G, u.Cl, j.Source))
 	case algorithms.PR:
-		rank, err := pagerank(ctx, g, cl, p.Iterations, p.Damping)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Float: rank}, nil
+		return j.Floats(pagerank(ctx, u.G, u.Cl, p.Iterations, p.Damping))
 	case algorithms.WCC:
-		labels, err := wcc(ctx, g, cl)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: labels}, nil
+		return j.Ints(wcc(ctx, u.G, u.Cl))
 	case algorithms.CDLP:
-		labels, err := cdlp(ctx, u, p.Iterations)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: labels}, nil
+		return j.Ints(cdlp(ctx, u, p.Iterations))
 	case algorithms.LCC:
-		vals, err := lcc(ctx, g, cl)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Float: vals}, nil
+		return j.Floats(lcc(ctx, u.G, u.Cl))
 	case algorithms.SSSP:
-		if !g.Weighted() {
-			return nil, algorithms.ErrNeedsWeights
-		}
-		src, ok := g.Index(p.Source)
-		if !ok {
-			return nil, fmt.Errorf("native: %w: %d", algorithms.ErrSourceNotFound, p.Source)
-		}
-		dist, err := sssp(ctx, u, src)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Float: dist}, nil
+		return j.Floats(sssp(ctx, u, j.Source))
 	}
-	return nil, fmt.Errorf("%w: %s", platform.ErrUnsupported, a)
+	return nil, fmt.Errorf("%w: %s", platform.ErrUnsupported, j.Algorithm)
 }
 
 // stateFootprint estimates the engine's per-run working memory: native
 // kernels keep one or two flat arrays per vertex plus frontier queues.
-func stateFootprint(g *graph.Graph, a algorithms.Algorithm) int64 {
-	n := int64(g.NumVertices())
+func stateFootprint(u *uploaded, a algorithms.Algorithm) int64 {
+	n := int64(u.G.NumVertices())
 	switch a {
 	case algorithms.BFS:
 		return n * (8 + 2*4) // depth + two frontier queues

@@ -28,7 +28,7 @@ func TestRejectsMultiMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = native.New().Upload(g, platform.RunConfig{Machines: 4})
+	_, err = native.New().Upload(t.Context(), g, platform.RunConfig{Machines: 4})
 	if err == nil {
 		t.Fatal("expected error uploading to multiple machines on a single-machine platform")
 	}
@@ -36,4 +36,8 @@ func TestRejectsMultiMachine(t *testing.T) {
 
 func TestCancellation(t *testing.T) {
 	conformance.RunCancellation(t, native.New())
+}
+
+func TestStateOOM(t *testing.T) {
+	conformance.RunStateOOM(t, native.New())
 }

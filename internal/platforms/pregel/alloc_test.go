@@ -22,7 +22,7 @@ func TestBSPCombinerFoldOrderAndSlotReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	up, err := New().Upload(g, platform.RunConfig{Threads: 1, Machines: 1})
+	up, err := New().Upload(t.Context(), g, platform.RunConfig{Threads: 1, Machines: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func allocGraph(t testing.TB, n, deg int) *graph.Graph {
 // superstep, tens of thousands of objects on this graph.
 func TestPageRankSteadyStateAllocs(t *testing.T) {
 	g := allocGraph(t, 4000, 4)
-	up, err := New().Upload(g, platform.RunConfig{Threads: 4, Machines: 1})
+	up, err := New().Upload(t.Context(), g, platform.RunConfig{Threads: 4, Machines: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestPageRankSteadyStateAllocs(t *testing.T) {
 // array plus a constant number of superstep descriptors.
 func TestCDLPSteadyStateAllocs(t *testing.T) {
 	g := allocGraph(t, 4000, 4)
-	up, err := New().Upload(g, platform.RunConfig{Threads: 4, Machines: 1})
+	up, err := New().Upload(t.Context(), g, platform.RunConfig{Threads: 4, Machines: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func chainGraph(t *testing.T) *graph.Graph {
 
 func uploadFor(t *testing.T, g *graph.Graph) *uploaded {
 	t.Helper()
-	up, err := New().Upload(g, platform.RunConfig{Threads: 2, Machines: 2})
+	up, err := New().Upload(t.Context(), g, platform.RunConfig{Threads: 2, Machines: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

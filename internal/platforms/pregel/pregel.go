@@ -20,7 +20,6 @@ import (
 
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/cluster"
-	"graphalytics/internal/granula"
 	"graphalytics/internal/graph"
 	"graphalytics/internal/mplane"
 	"graphalytics/internal/platform"
@@ -71,7 +70,6 @@ type uploaded struct {
 	platform.BaseUpload
 	part  *cluster.VertexPartition
 	verts []vertexData
-	bytes []int64
 	// scratch caches the BSP runner (message plane, frontier lists, halt
 	// bitmap) between Execute calls, so repeated jobs on one upload run
 	// allocation-free in steady state.
@@ -79,23 +77,15 @@ type uploaded struct {
 }
 
 func (u *uploaded) Free() {
-	for m, b := range u.bytes {
-		u.Cl.Free(m, b)
-	}
+	u.BaseUpload.Free()
 	u.verts = nil
 }
 
 // Upload implements platform.Platform: the graph is exploded into
-// per-vertex adjacency objects hash-partitioned over the machines.
-func (e *Engine) Upload(g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
-	//graphalint:ctxbg ctx-less platform.Platform compatibility method; UploadContext is the ctx-first path
-	return e.UploadContext(context.Background(), g, cfg)
-}
-
-// UploadContext implements platform.ContextUploader: the context is
-// checked periodically inside the per-vertex explosion loop, the bulk of
-// the upload work.
-func (e *Engine) UploadContext(ctx context.Context, g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
+// per-vertex adjacency objects hash-partitioned over the machines. The
+// context is checked periodically inside the per-vertex explosion loop,
+// the bulk of the upload work.
+func (e *Engine) Upload(ctx context.Context, g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
 	if err := platform.CheckContext(ctx); err != nil {
 		return nil, err
 	}
@@ -125,107 +115,48 @@ func (e *Engine) UploadContext(ctx context.Context, g *graph.Graph, cfg platform
 		BaseUpload: platform.BaseUpload{G: g, Cl: cl},
 		part:       part,
 		verts:      verts,
-		bytes:      make([]int64, cl.Machines()),
 	}
-	for m, b := range perMachine {
-		if err := cl.Alloc(m, b); err != nil {
-			u.Free()
-			return nil, fmt.Errorf("pregel: upload %s: %w", g.Name(), err)
-		}
-		u.bytes[m] = b
+	if err := u.Register(perMachine); err != nil {
+		return nil, fmt.Errorf("pregel: upload %s: %w", g.Name(), err)
 	}
 	return u, nil
 }
 
 // Execute implements platform.Platform.
 func (e *Engine) Execute(ctx context.Context, up platform.Uploaded, a algorithms.Algorithm, p algorithms.Params) (*platform.Result, error) {
-	if !e.Supports(a) {
-		return nil, fmt.Errorf("%w: %s on pregel", platform.ErrUnsupported, a)
-	}
-	u, ok := up.(*uploaded)
-	if !ok {
-		return nil, fmt.Errorf("pregel: foreign upload handle %T", up)
-	}
-	p = p.WithDefaults(a)
-	cl := u.Cl
-
-	t := granula.NewTracker(fmt.Sprintf("%s/%s", a, u.G.Name()), e.Name())
-	t.Begin(granula.PhaseSetup)
-	// Message queues: the engine keeps two per-vertex message buffers.
-	state := int64(u.G.NumVertices()) * 2 * 24
-	for m := 0; m < cl.Machines(); m++ {
-		if err := cl.Alloc(m, state/int64(cl.Machines())); err != nil {
-			t.End()
-			return nil, fmt.Errorf("pregel: allocate message queues: %w", err)
-		}
-		defer cl.Free(m, state/int64(cl.Machines()))
-	}
-	t.End()
-
-	cl.ResetTime()
-	t.Begin(granula.PhaseProcess)
-	out, err := e.run(ctx, t, u, a, p)
-	t.Annotate("supersteps", fmt.Sprint(cl.Rounds()))
-	t.Annotate("combiners", fmt.Sprint(e.useCombiners))
-	t.Current().Modeled = cl.SimulatedTime()
-	t.End()
-	if err != nil {
-		return nil, err
-	}
-	t.Begin(granula.PhaseOffload)
-	t.End()
-	return platform.NewResult(t, cl, out), nil
+	return platform.Execute(ctx, e, up, a, p, platform.Hooks[*uploaded]{
+		StateBytes: messageQueueBytes,
+		Run:        e.run,
+		Process: func(j *platform.Job[*uploaded]) {
+			j.Annotate("supersteps", j.Upload.Cl.Rounds())
+			j.Annotate("combiners", e.useCombiners)
+		},
+	})
 }
 
-func (e *Engine) run(ctx context.Context, t *granula.Tracker, u *uploaded, a algorithms.Algorithm, p algorithms.Params) (*algorithms.Output, error) {
-	switch a {
+// messageQueueBytes is one machine's share of the two per-vertex message
+// buffers the engine keeps.
+func messageQueueBytes(u *uploaded, _ algorithms.Algorithm) int64 {
+	return int64(u.G.NumVertices()) * 2 * 24 / int64(u.Cl.Machines())
+}
+
+// run executes the algorithm's vertex program; the BSP runner records one
+// Granula sub-phase per superstep.
+func (e *Engine) run(ctx context.Context, j *platform.Job[*uploaded]) (*algorithms.Output, error) {
+	t, u, p := j.Tracker, j.Upload, j.Params
+	switch j.Algorithm {
 	case algorithms.BFS:
-		src, ok := u.G.Index(p.Source)
-		if !ok {
-			return nil, fmt.Errorf("pregel: %w: %d", algorithms.ErrSourceNotFound, p.Source)
-		}
-		vals, err := bfsProgram(ctx, t, u, src, e.useCombiners)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: vals}, nil
+		return j.Ints(bfsProgram(ctx, t, u, j.Source, e.useCombiners))
 	case algorithms.PR:
-		vals, err := prProgram(ctx, t, u, p.Iterations, p.Damping, e.useCombiners)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Float: vals}, nil
+		return j.Floats(prProgram(ctx, t, u, p.Iterations, p.Damping, e.useCombiners))
 	case algorithms.WCC:
-		vals, err := wccProgram(ctx, t, u, e.useCombiners)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: vals}, nil
+		return j.Ints(wccProgram(ctx, t, u, e.useCombiners))
 	case algorithms.CDLP:
-		vals, err := cdlpProgram(ctx, t, u, p.Iterations)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: vals}, nil
+		return j.Ints(cdlpProgram(ctx, t, u, p.Iterations))
 	case algorithms.LCC:
-		vals, err := lccProgram(ctx, t, u)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Float: vals}, nil
+		return j.Floats(lccProgram(ctx, t, u))
 	case algorithms.SSSP:
-		if !u.G.Weighted() {
-			return nil, algorithms.ErrNeedsWeights
-		}
-		src, ok := u.G.Index(p.Source)
-		if !ok {
-			return nil, fmt.Errorf("pregel: %w: %d", algorithms.ErrSourceNotFound, p.Source)
-		}
-		vals, err := ssspProgram(ctx, t, u, src, e.useCombiners)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Float: vals}, nil
+		return j.Floats(ssspProgram(ctx, t, u, j.Source, e.useCombiners))
 	}
-	return nil, fmt.Errorf("%w: %s", platform.ErrUnsupported, a)
+	return nil, fmt.Errorf("%w: %s", platform.ErrUnsupported, j.Algorithm)
 }

@@ -28,3 +28,7 @@ func TestDeterminism(t *testing.T) {
 func TestCancellation(t *testing.T) {
 	conformance.RunCancellation(t, pregel.New())
 }
+
+func TestStateOOM(t *testing.T) {
+	conformance.RunStateOOM(t, pregel.New())
+}

@@ -15,10 +15,10 @@ package pushpull
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/cluster"
-	"graphalytics/internal/granula"
 	"graphalytics/internal/graph"
 	"graphalytics/internal/mplane"
 	"graphalytics/internal/platform"
@@ -96,30 +96,21 @@ type uploaded struct {
 	st            *store
 	part          *cluster.VertexPartition
 	danglingVerts []int32
-	bytes         []int64
 	// scratch caches the CDLP/SSSP working buffers between Execute calls.
 	scratch mplane.Pool
 }
 
 func (u *uploaded) Free() {
-	for m, b := range u.bytes {
-		u.Cl.Free(m, b)
-	}
+	u.BaseUpload.Free()
 	u.st = nil
 }
 
 // Upload implements platform.Platform: both adjacency directions are
 // copied into engine storage and charged, together with the wide
-// per-vertex slots and ghost caches, against every machine.
-func (e *Engine) Upload(g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
-	//graphalint:ctxbg ctx-less platform.Platform compatibility method; UploadContext is the ctx-first path
-	return e.UploadContext(context.Background(), g, cfg)
-}
-
-// UploadContext implements platform.ContextUploader: the context is
-// checked between the two adjacency-direction copies and before the
+// per-vertex slots and ghost caches, against every machine. The context
+// is checked between the two adjacency-direction copies and before the
 // dangling-vertex scan.
-func (e *Engine) UploadContext(ctx context.Context, g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
+func (e *Engine) Upload(ctx context.Context, g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
 	if err := platform.CheckContext(ctx); err != nil {
 		return nil, err
 	}
@@ -145,7 +136,6 @@ func (e *Engine) UploadContext(ctx context.Context, g *graph.Graph, cfg platform
 		st:            st,
 		part:          part,
 		danglingVerts: dangling,
-		bytes:         make([]int64, cl.Machines()),
 	}
 	edgeBytes := int64(len(st.outAdj))*4 + int64(len(st.inAdj))*4 + int64(len(st.outW))*8 +
 		int64(len(st.outOff))*8 + int64(len(st.inOff))*8
@@ -153,99 +143,48 @@ func (e *Engine) UploadContext(ctx context.Context, g *graph.Graph, cfg platform
 	// Edge share per machine, plus replicated ghost-value cache and the
 	// engine's wide per-vertex context slots (64 B) on every machine.
 	perMachine := edgeBytes/int64(cl.Machines()) + n*8 + n*64
-	for m := 0; m < cl.Machines(); m++ {
-		if err := cl.Alloc(m, perMachine); err != nil {
-			u.Free()
-			return nil, fmt.Errorf("pushpull: upload %s: %w", g.Name(), err)
-		}
-		u.bytes[m] = perMachine
+	if err := u.Register(slices.Repeat([]int64{perMachine}, cl.Machines())); err != nil {
+		return nil, fmt.Errorf("pushpull: upload %s: %w", g.Name(), err)
 	}
 	return u, nil
 }
 
 // Execute implements platform.Platform.
 func (e *Engine) Execute(ctx context.Context, up platform.Uploaded, a algorithms.Algorithm, p algorithms.Params) (*platform.Result, error) {
-	if !e.Supports(a) {
-		return nil, fmt.Errorf("%w: %s on pushpull", platform.ErrUnsupported, a)
-	}
-	u, ok := up.(*uploaded)
-	if !ok {
-		return nil, fmt.Errorf("pushpull: foreign upload handle %T", up)
-	}
-	p = p.WithDefaults(a)
-	cl := u.Cl
-
-	t := granula.NewTracker(fmt.Sprintf("%s/%s", a, u.G.Name()), e.Name())
-	t.Begin(granula.PhaseSetup)
-	state := int64(u.G.NumVertices()) * 16
-	for m := 0; m < cl.Machines(); m++ {
-		if err := cl.Alloc(m, state); err != nil {
-			t.End()
-			return nil, fmt.Errorf("pushpull: allocate state: %w", err)
-		}
-		defer cl.Free(m, state)
-	}
-	t.End()
-
-	cl.ResetTime()
-	t.Begin(granula.PhaseProcess)
-	out, pushes, pulls, err := e.run(ctx, u, a, p)
-	t.Annotate("rounds", fmt.Sprint(cl.Rounds()))
-	t.Annotate("push_rounds", fmt.Sprint(pushes))
-	t.Annotate("pull_rounds", fmt.Sprint(pulls))
-	t.Current().Modeled = cl.SimulatedTime()
-	t.End()
-	if err != nil {
-		return nil, err
-	}
-	t.Begin(granula.PhaseOffload)
-	t.End()
-	return platform.NewResult(t, cl, out), nil
+	return platform.Execute(ctx, e, up, a, p, platform.Hooks[*uploaded]{
+		StateBytes: func(u *uploaded, _ algorithms.Algorithm) int64 { return int64(u.G.NumVertices()) * 16 },
+		Run:        e.run,
+		Process:    func(j *platform.Job[*uploaded]) { j.Annotate("rounds", j.Upload.Cl.Rounds()) },
+	})
 }
 
-func (e *Engine) run(ctx context.Context, u *uploaded, a algorithms.Algorithm, p algorithms.Params) (out *algorithms.Output, pushes, pulls int, err error) {
-	switch a {
+// run executes the algorithm and annotates ProcessGraph with how many of
+// its rounds pushed and how many pulled.
+func (e *Engine) run(ctx context.Context, j *platform.Job[*uploaded]) (*algorithms.Output, error) {
+	u, p := j.Upload, j.Params
+	directions := func(pushes, pulls int) {
+		j.Annotate("push_rounds", pushes)
+		j.Annotate("pull_rounds", pulls)
+	}
+	switch j.Algorithm {
 	case algorithms.BFS:
-		src, ok := u.G.Index(p.Source)
-		if !ok {
-			return nil, 0, 0, fmt.Errorf("pushpull: %w: %d", algorithms.ErrSourceNotFound, p.Source)
-		}
-		vals, pushes, pulls, err := bfs(ctx, u, src, e.forceDirection)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: vals}, pushes, pulls, nil
+		vals, pushes, pulls, err := bfs(ctx, u, j.Source, e.forceDirection)
+		directions(pushes, pulls)
+		return j.Ints(vals, err)
 	case algorithms.PR:
-		vals, err := pagerank(ctx, u, p.Iterations, p.Damping)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return &algorithms.Output{Algorithm: a, Float: vals}, 0, p.Iterations, nil
+		directions(0, p.Iterations)
+		return j.Floats(pagerank(ctx, u, p.Iterations, p.Damping))
 	case algorithms.WCC:
 		vals, rounds, err := wcc(ctx, u)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: vals}, 0, rounds, nil
+		directions(0, rounds)
+		return j.Ints(vals, err)
 	case algorithms.CDLP:
-		vals, err := cdlp(ctx, u, p.Iterations)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: vals}, 0, p.Iterations, nil
+		directions(0, p.Iterations)
+		return j.Ints(cdlp(ctx, u, p.Iterations))
 	case algorithms.SSSP:
-		if !u.G.Weighted() {
-			return nil, 0, 0, algorithms.ErrNeedsWeights
-		}
-		src, ok := u.G.Index(p.Source)
-		if !ok {
-			return nil, 0, 0, fmt.Errorf("pushpull: %w: %d", algorithms.ErrSourceNotFound, p.Source)
-		}
-		vals, rounds, err := sssp(ctx, u, src)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		return &algorithms.Output{Algorithm: a, Float: vals}, rounds, 0, nil
+		vals, rounds, err := sssp(ctx, u, j.Source)
+		directions(rounds, 0)
+		return j.Floats(vals, err)
 	}
-	return nil, 0, 0, fmt.Errorf("%w: %s", platform.ErrUnsupported, a)
+	return nil, fmt.Errorf("%w: %s", platform.ErrUnsupported, j.Algorithm)
 }

@@ -14,7 +14,7 @@ func TestStoreLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	up, err := New().Upload(g, platform.RunConfig{Threads: 1, Machines: 1})
+	up, err := New().Upload(t.Context(), g, platform.RunConfig{Threads: 1, Machines: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestDanglingVertexList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	up, err := New().Upload(g, platform.RunConfig{})
+	up, err := New().Upload(t.Context(), g, platform.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

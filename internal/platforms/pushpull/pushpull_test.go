@@ -34,3 +34,7 @@ func TestForcedDirections(t *testing.T) {
 func TestCancellation(t *testing.T) {
 	conformance.RunCancellation(t, pushpull.New())
 }
+
+func TestStateOOM(t *testing.T) {
+	conformance.RunStateOOM(t, pushpull.New())
+}

@@ -46,7 +46,7 @@ func allocGraph(t testing.TB, n, deg int, weighted bool) *graph.Graph {
 // number of round descriptors.
 func TestCDLPSteadyStateAllocs(t *testing.T) {
 	g := allocGraph(t, 4000, 4, false)
-	up, err := New(BackendS).Upload(g, platform.RunConfig{Threads: 4, Machines: 1})
+	up, err := New(BackendS).Upload(t.Context(), g, platform.RunConfig{Threads: 4, Machines: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestCDLPSteadyStateAllocs(t *testing.T) {
 // descriptor per frontier round.
 func TestSSSPSteadyStateAllocs(t *testing.T) {
 	g := allocGraph(t, 4000, 4, true)
-	up, err := New(BackendD).Upload(g, platform.RunConfig{Threads: 4, Machines: 2})
+	up, err := New(BackendD).Upload(t.Context(), g, platform.RunConfig{Threads: 4, Machines: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,10 +16,10 @@ package spmv
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"graphalytics/internal/algorithms"
 	"graphalytics/internal/cluster"
-	"graphalytics/internal/granula"
 	"graphalytics/internal/graph"
 	"graphalytics/internal/mplane"
 	"graphalytics/internal/platform"
@@ -77,30 +77,17 @@ func (e *Engine) Supports(a algorithms.Algorithm) bool {
 
 type uploaded struct {
 	platform.BaseUpload
-	m     *matrix
-	part  *cluster.VertexPartition
-	bytes []int64 // per-machine registered bytes
+	m    *matrix
+	part *cluster.VertexPartition
 	// scratch caches the CDLP/SSSP working buffers between Execute calls.
 	scratch mplane.Pool
 }
 
-func (u *uploaded) Free() {
-	for m, b := range u.bytes {
-		u.Cl.Free(m, b)
-	}
-}
-
 // Upload implements platform.Platform: it converts the graph into the
 // engine's CSR+CSC matrix layout and registers the per-machine memory
-// shares.
-func (e *Engine) Upload(g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
-	//graphalint:ctxbg ctx-less platform.Platform compatibility method; UploadContext is the ctx-first path
-	return e.UploadContext(context.Background(), g, cfg)
-}
-
-// UploadContext implements platform.ContextUploader: the context is
-// checked around the matrix conversion, the expensive part of the upload.
-func (e *Engine) UploadContext(ctx context.Context, g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
+// shares. The context is checked around the matrix conversion, the
+// expensive part of the upload.
+func (e *Engine) Upload(ctx context.Context, g *graph.Graph, cfg platform.RunConfig) (platform.Uploaded, error) {
 	if err := platform.CheckContext(ctx); err != nil {
 		return nil, err
 	}
@@ -117,117 +104,49 @@ func (e *Engine) UploadContext(ctx context.Context, g *graph.Graph, cfg platform
 		BaseUpload: platform.BaseUpload{G: g, Cl: cl},
 		m:          m,
 		part:       part,
-		bytes:      make([]int64, cl.Machines()),
 	}
 	// Each machine holds its share of matrix rows/columns plus a full
 	// replica of one dense operand vector (the allgathered x).
 	total := m.footprint()
 	perMachine := total/int64(cl.Machines()) + int64(g.NumVertices())*8
-	for mach := 0; mach < cl.Machines(); mach++ {
-		if err := cl.Alloc(mach, perMachine); err != nil {
-			u.Free()
-			return nil, fmt.Errorf("spmv: upload %s: %w", g.Name(), err)
-		}
-		u.bytes[mach] = perMachine
+	if err := u.Register(slices.Repeat([]int64{perMachine}, cl.Machines())); err != nil {
+		return nil, fmt.Errorf("spmv: upload %s: %w", g.Name(), err)
 	}
 	return u, nil
 }
 
 // Execute implements platform.Platform.
 func (e *Engine) Execute(ctx context.Context, up platform.Uploaded, a algorithms.Algorithm, p algorithms.Params) (*platform.Result, error) {
-	if !e.Supports(a) {
-		return nil, fmt.Errorf("%w: %s on %s", platform.ErrUnsupported, a, e.Name())
-	}
-	u, ok := up.(*uploaded)
-	if !ok {
-		return nil, fmt.Errorf("spmv: foreign upload handle %T", up)
-	}
-	p = p.WithDefaults(a)
-	cl := u.Cl
-
-	t := granula.NewTracker(fmt.Sprintf("%s/%s", a, u.G.Name()), e.Name())
-	t.Begin(granula.PhaseSetup)
-	state := stateFootprint(u.G, a)
-	for mach := 0; mach < cl.Machines(); mach++ {
-		if err := cl.Alloc(mach, state); err != nil {
-			t.End()
-			return nil, fmt.Errorf("spmv: allocate vectors for %s: %w", a, err)
-		}
-		defer cl.Free(mach, state)
-	}
-	t.End()
-
-	cl.ResetTime()
-	t.Begin(granula.PhaseProcess)
-	out, err := e.run(ctx, u, a, p)
-	t.Annotate("rounds", fmt.Sprint(cl.Rounds()))
-	t.Current().Modeled = cl.SimulatedTime()
-	t.End()
-	if err != nil {
-		return nil, err
-	}
-	t.Begin(granula.PhaseOffload)
-	t.End()
-	return platform.NewResult(t, cl, out), nil
+	return platform.Execute(ctx, e, up, a, p, platform.Hooks[*uploaded]{
+		StateBytes: stateFootprint,
+		Run:        run,
+		Process:    func(j *platform.Job[*uploaded]) { j.Annotate("rounds", j.Upload.Cl.Rounds()) },
+	})
 }
 
-func (e *Engine) run(ctx context.Context, u *uploaded, a algorithms.Algorithm, p algorithms.Params) (*algorithms.Output, error) {
-	switch a {
+func run(ctx context.Context, j *platform.Job[*uploaded]) (*algorithms.Output, error) {
+	u, p := j.Upload, j.Params
+	switch j.Algorithm {
 	case algorithms.BFS:
-		src, ok := u.G.Index(p.Source)
-		if !ok {
-			return nil, fmt.Errorf("spmv: %w: %d", algorithms.ErrSourceNotFound, p.Source)
-		}
-		depth, err := bfs(ctx, u, src)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: depth}, nil
+		return j.Ints(bfs(ctx, u, j.Source))
 	case algorithms.PR:
-		rank, err := pagerank(ctx, u, p.Iterations, p.Damping)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Float: rank}, nil
+		return j.Floats(pagerank(ctx, u, p.Iterations, p.Damping))
 	case algorithms.WCC:
-		labels, err := wcc(ctx, u)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: labels}, nil
+		return j.Ints(wcc(ctx, u))
 	case algorithms.CDLP:
-		labels, err := cdlp(ctx, u, p.Iterations)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Int: labels}, nil
+		return j.Ints(cdlp(ctx, u, p.Iterations))
 	case algorithms.LCC:
-		vals, err := lcc(ctx, u)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Float: vals}, nil
+		return j.Floats(lcc(ctx, u))
 	case algorithms.SSSP:
-		if !u.G.Weighted() {
-			return nil, algorithms.ErrNeedsWeights
-		}
-		src, ok := u.G.Index(p.Source)
-		if !ok {
-			return nil, fmt.Errorf("spmv: %w: %d", algorithms.ErrSourceNotFound, p.Source)
-		}
-		dist, err := sssp(ctx, u, src)
-		if err != nil {
-			return nil, err
-		}
-		return &algorithms.Output{Algorithm: a, Float: dist}, nil
+		return j.Floats(sssp(ctx, u, j.Source))
 	}
-	return nil, fmt.Errorf("%w: %s", platform.ErrUnsupported, a)
+	return nil, fmt.Errorf("%w: %s", platform.ErrUnsupported, j.Algorithm)
 }
 
 // stateFootprint estimates the dense vectors the engine allocates per run;
 // every machine replicates the operand vectors.
-func stateFootprint(g *graph.Graph, a algorithms.Algorithm) int64 {
-	n := int64(g.NumVertices())
+func stateFootprint(u *uploaded, a algorithms.Algorithm) int64 {
+	n := int64(u.G.NumVertices())
 	switch a {
 	case algorithms.PR:
 		return n * 24 // rank, next, contrib

@@ -41,11 +41,16 @@ func TestBackendS_RejectsMultiMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := spmv.New(spmv.BackendS).Upload(g, platform.RunConfig{Machines: 2}); err == nil {
+	if _, err := spmv.New(spmv.BackendS).Upload(t.Context(), g, platform.RunConfig{Machines: 2}); err == nil {
 		t.Fatal("expected backend S to reject multi-machine upload")
 	}
 }
 
 func TestCancellation(t *testing.T) {
 	conformance.RunCancellation(t, spmv.New(spmv.BackendD))
+}
+
+func TestStateOOM(t *testing.T) {
+	conformance.RunStateOOM(t, spmv.New(spmv.BackendS))
+	conformance.RunStateOOM(t, spmv.New(spmv.BackendD))
 }

@@ -78,11 +78,11 @@ func TestEnginesCRCIdenticalOnMappedGraphs(t *testing.T) {
 				if p.Distributed() {
 					rc.Machines = 2
 				}
-				upHeap, err := p.Upload(c.Graph, rc)
+				upHeap, err := p.Upload(t.Context(), c.Graph, rc)
 				if err != nil {
 					t.Fatalf("%s: upload heap: %v", name, err)
 				}
-				upMap, err := p.Upload(mapped, rc)
+				upMap, err := p.Upload(t.Context(), mapped, rc)
 				if err != nil {
 					t.Fatalf("%s: upload mapped: %v", name, err)
 				}
