@@ -1,9 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation (Section 4). Each benchmark runs the corresponding experiment
-// suite through the harness and prints the report rows; EXPERIMENTS.md
-// records paper-vs-measured for each artifact. Run with:
+// suite through the harness and prints the report rows. Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -run=NONE -bench='Fig|Table' -benchtime=1x .
 package graphalytics_test
 
 import (
@@ -36,10 +35,12 @@ const benchSLA = time.Minute
 // that do not sweep threads.
 const benchThreads = 4
 
-func newBenchRunner() *graphalytics.Runner {
-	r := graphalytics.NewRunner()
-	r.SLA = benchSLA
-	return r
+// newBenchSession returns a session that times one job at a time, which
+// the paper's Tproc numbers assume.
+func newBenchSession(opts ...graphalytics.Option) *graphalytics.Session {
+	return graphalytics.NewSession(append([]graphalytics.Option{
+		graphalytics.WithSLA(benchSLA), graphalytics.WithParallelism(1),
+	}, opts...)...)
 }
 
 var printed sync.Map
@@ -110,8 +111,8 @@ func BenchmarkTable4SyntheticDatasets(b *testing.B) {
 // every dataset up to class L, single machine, all platforms.
 func BenchmarkFig4DatasetVariety(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		rep, err := graphalytics.DatasetVariety(r, graphalytics.SingleMachinePlatforms(), benchThreads)
+		s := newBenchSession()
+		rep, err := s.DatasetVariety(b.Context(), graphalytics.ExperimentConfig{Platforms: graphalytics.SingleMachinePlatforms(), Threads: benchThreads})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -123,11 +124,11 @@ func BenchmarkFig4DatasetVariety(b *testing.B) {
 // derived from dataset-variety runs.
 func BenchmarkFig5Throughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		if _, err := graphalytics.DatasetVariety(r, graphalytics.SingleMachinePlatforms(), benchThreads); err != nil {
+		s := newBenchSession()
+		if _, err := s.DatasetVariety(b.Context(), graphalytics.ExperimentConfig{Platforms: graphalytics.SingleMachinePlatforms(), Threads: benchThreads}); err != nil {
 			b.Fatal(err)
 		}
-		printReport(graphalytics.ThroughputReport(r.DB, graphalytics.SingleMachinePlatforms()))
+		printReport(graphalytics.ThroughputReport(s.DB(), graphalytics.SingleMachinePlatforms()))
 	}
 }
 
@@ -135,8 +136,8 @@ func BenchmarkFig5Throughput(b *testing.B) {
 // BFS on D300.
 func BenchmarkTable8Makespan(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		rep, err := graphalytics.MakespanBreakdown(r, graphalytics.SingleMachinePlatforms(), benchThreads)
+		s := newBenchSession()
+		rep, err := s.MakespanBreakdown(b.Context(), graphalytics.ExperimentConfig{Platforms: graphalytics.SingleMachinePlatforms(), Threads: benchThreads})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -148,8 +149,8 @@ func BenchmarkTable8Makespan(b *testing.B) {
 // on R4(S) and D300(L).
 func BenchmarkFig6AlgorithmVariety(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		rep, err := graphalytics.AlgorithmVariety(r, graphalytics.SingleMachinePlatforms(), benchThreads)
+		s := newBenchSession()
+		rep, err := s.AlgorithmVariety(b.Context(), graphalytics.ExperimentConfig{Platforms: graphalytics.SingleMachinePlatforms(), Threads: benchThreads})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -161,13 +162,13 @@ func BenchmarkFig6AlgorithmVariety(b *testing.B) {
 // threads, 1..32) and Table 9 (maximum speedup) in one sweep.
 func BenchmarkFig7VerticalScalability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		rep, err := graphalytics.VerticalScalability(r, graphalytics.SingleMachinePlatforms(), []int{1, 2, 4, 8, 16, 32})
+		s := newBenchSession()
+		rep, err := s.VerticalScalability(b.Context(), graphalytics.ExperimentConfig{Platforms: graphalytics.SingleMachinePlatforms(), ThreadSweep: []int{1, 2, 4, 8, 16, 32}})
 		if err != nil {
 			b.Fatal(err)
 		}
 		printReport(rep)
-		printReport(graphalytics.VerticalSpeedupReport(r.DB, graphalytics.SingleMachinePlatforms()))
+		printReport(graphalytics.VerticalSpeedupReport(s.DB(), graphalytics.SingleMachinePlatforms()))
 	}
 }
 
@@ -175,11 +176,11 @@ func BenchmarkFig7VerticalScalability(b *testing.B) {
 // thread sweep, for quick runs.
 func BenchmarkTable9VerticalSpeedup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		if _, err := graphalytics.VerticalScalability(r, graphalytics.SingleMachinePlatforms(), []int{1, 8}); err != nil {
+		s := newBenchSession()
+		if _, err := s.VerticalScalability(b.Context(), graphalytics.ExperimentConfig{Platforms: graphalytics.SingleMachinePlatforms(), ThreadSweep: []int{1, 8}}); err != nil {
 			b.Fatal(err)
 		}
-		rep := graphalytics.VerticalSpeedupReport(r.DB, graphalytics.SingleMachinePlatforms())
+		rep := graphalytics.VerticalSpeedupReport(s.DB(), graphalytics.SingleMachinePlatforms())
 		rep.Title += " (reduced sweep: 1 vs 8 threads)"
 		printReport(rep)
 	}
@@ -189,8 +190,8 @@ func BenchmarkTable9VerticalSpeedup(b *testing.B) {
 // D1000(XL) for the distributed platforms.
 func BenchmarkFig8StrongScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		rep, err := graphalytics.StrongScaling(r, graphalytics.DistributedPlatforms(), []int{1, 2, 4, 8, 16}, 2)
+		s := newBenchSession()
+		rep, err := s.StrongScaling(b.Context(), graphalytics.ExperimentConfig{Platforms: graphalytics.DistributedPlatforms(), MachineSweep: []int{1, 2, 4, 8, 16}, Threads: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -202,8 +203,8 @@ func BenchmarkFig8StrongScaling(b *testing.B) {
 // machine counts growing in step with dataset size.
 func BenchmarkFig9WeakScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		rep, err := graphalytics.WeakScaling(r, graphalytics.DistributedPlatforms(), graphalytics.DefaultWeakPairs(), 2)
+		s := newBenchSession()
+		rep, err := s.WeakScaling(b.Context(), graphalytics.ExperimentConfig{Platforms: graphalytics.DistributedPlatforms(), WeakPairs: graphalytics.DefaultWeakPairs(), Threads: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -216,10 +217,9 @@ func BenchmarkFig9WeakScaling(b *testing.B) {
 func BenchmarkTable10StressTest(b *testing.B) {
 	const budget = 2 << 20 // 2 MiB per simulated machine at 1/10^4 dataset scale
 	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		r.Validate = false // failure probing, not correctness
+		s := newBenchSession(graphalytics.WithValidation(false)) // failure probing, not correctness
 		all := append(graphalytics.SingleMachinePlatforms(), "spmv-d")
-		rep, err := graphalytics.StressTest(r, all, benchThreads, budget)
+		rep, err := s.StressTest(b.Context(), graphalytics.ExperimentConfig{Platforms: all, Threads: benchThreads, MemoryBudget: budget})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -231,8 +231,10 @@ func BenchmarkTable10StressTest(b *testing.B) {
 // of variation of Tproc over ten BFS runs.
 func BenchmarkTable11Variability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := newBenchRunner()
-		rep, err := graphalytics.Variability(r, graphalytics.SingleMachinePlatforms(), graphalytics.DistributedPlatforms(), 10, benchThreads)
+		s := newBenchSession()
+		rep, err := s.Variability(b.Context(), graphalytics.ExperimentConfig{
+			SingleMachine: graphalytics.SingleMachinePlatforms(), Distributed: graphalytics.DistributedPlatforms(), Repetitions: 10, Threads: benchThreads,
+		})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 // Command graphalytics is the benchmark CLI: it lists platforms and
-// datasets, runs single jobs, runs the paper's experiment suites, and
-// writes Granula archives and results databases.
+// datasets, runs single jobs, runs the paper's experiment suites, writes
+// results databases and Granula performance records, and renders the
+// latter.
 //
 // Usage:
 //
@@ -9,6 +10,7 @@
 //	graphalytics suite -id fig4               # run one experiment suite
 //	graphalytics suite -id all -out results.jsonl -parallel 4
 //	graphalytics renewal -budget 2s           # re-derive class L
+//	graphalytics granula granula.json         # render a job's Granula record
 //
 // Long-running commands (run, suite, bench) honor Ctrl-C: the first
 // interrupt cancels the session context, in-flight jobs abort and are
@@ -21,9 +23,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -32,7 +36,6 @@ import (
 	"graphalytics/internal/archive"
 	"graphalytics/internal/core"
 	"graphalytics/internal/granula"
-	"graphalytics/internal/platform"
 	"graphalytics/internal/validation"
 	"graphalytics/internal/workload"
 )
@@ -60,6 +63,8 @@ func main() {
 		err = cmdRenewal(os.Args[2:])
 	case "validate":
 		err = cmdValidate(os.Args[2:])
+	case "granula":
+		err = cmdGranula(os.Args[2:])
 	case "bench":
 		err = cmdBench(ctx, os.Args[2:])
 	case "submit":
@@ -79,15 +84,16 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: graphalytics <list|run|plan|suite|warm|renewal|validate|bench|submit|watch|archive> [flags]
+	fmt.Fprintln(os.Stderr, `usage: graphalytics <list|run|plan|suite|warm|renewal|validate|granula|bench|submit|watch|archive> [flags]
   list                      print platforms, datasets and the workload survey
-  run     -platform -dataset -algorithm [-threads -machines -archive] [-cache-dir DIR] [-mmap]
+  run     -platform -dataset -algorithm [-threads -machines -sla -granula FILE -output FILE] [-cache-dir DIR] [-mmap]
   run     -spec spec.json [-out results.jsonl] [-parallel N] [-progress] [-cache-dir DIR] [-mmap] [-archive-dir DIR]
   plan    -spec spec.json [-json]        compile a spec and print the plan (dry run)
   suite   -id <fig4|fig5|fig6|fig7|fig8|fig9|fig10|table8|table9|table10|table11|all> [-out results.jsonl] [-parallel N] [-progress] [-cache-dir DIR]
   warm    -cache-dir DIR [-parallel N] [-dataset IDS] [-mmap]   materialize datasets into a snapshot cache
   renewal -budget <duration> [-platform native]
   validate -algorithm <name> -got <file> -want <file>
+  granula <file.json>       render a Granula record (from 'run -granula') and check it against the standard model
   bench   -description <file.json> [-out results.jsonl] [-parallel N] [-progress] [-cache-dir DIR]
   submit  -spec spec.json [-server URL] [-key K] [-watch] [-out results.jsonl]
   watch   -run <id> [-server URL] [-key K] [-out results.jsonl]
@@ -351,7 +357,7 @@ func cmdRun(ctx context.Context, args []string) error {
 	threads := fs.Int("threads", 4, "threads per machine")
 	machines := fs.Int("machines", 1, "simulated machines")
 	sla := fs.Duration("sla", time.Minute, "makespan budget")
-	archivePath := fs.String("archive", "", "write the Granula archive JSON to this path")
+	granulaPath := fs.String("granula", "", "write the job's Granula performance record (JSON) to this path")
 	outputPath := fs.String("output", "", "write the per-vertex output in the Graphalytics output format")
 	out := fs.String("out", "", "with -spec: write the results database (JSON lines) to this path")
 	parallel := fs.Int("parallel", 1, "with -spec: concurrent jobs (1 preserves timing fidelity)")
@@ -399,20 +405,9 @@ func cmdRun(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	pl, err := platform.Get(*platformName)
-	if err != nil {
-		return err
-	}
-	// The SLA window opens before upload, and the upload itself is
-	// cancellable: Platform.Upload takes the job context.
-	jctx, cancel := context.WithTimeout(ctx, *sla)
-	defer cancel()
-	up, err := platform.UploadContext(jctx, pl, g, platform.RunConfig{Threads: *threads, Machines: *machines, Net: graphalytics.DefaultNetwork()})
-	if err != nil {
-		return err
-	}
-	defer up.Free()
-	res, err := pl.Execute(jctx, up, algorithms.Algorithm(*algorithm), d.Params)
+	// The -sla budget covers upload plus execution.
+	res, err := graphalytics.RunWithBudget(ctx, *platformName, g, algorithms.Algorithm(*algorithm), d.Params,
+		graphalytics.RunConfig{Threads: *threads, Machines: *machines, Net: graphalytics.DefaultNetwork()}, *sla)
 	if err != nil {
 		return err
 	}
@@ -421,8 +416,8 @@ func cmdRun(ctx context.Context, args []string) error {
 	if err := granula.Render(os.Stdout, res.Archive); err != nil {
 		return err
 	}
-	if *archivePath != "" {
-		f, err := os.Create(*archivePath)
+	if *granulaPath != "" {
+		f, err := os.Create(*granulaPath)
 		if err != nil {
 			return err
 		}
@@ -430,7 +425,7 @@ func cmdRun(ctx context.Context, args []string) error {
 		if err := res.Archive.WriteJSON(f); err != nil {
 			return err
 		}
-		fmt.Println("archive written to", *archivePath)
+		fmt.Println("Granula record written to", *granulaPath)
 	}
 
 	if *outputPath != "" {
@@ -549,6 +544,37 @@ func cmdValidate(args []string) error {
 		return rep.Error()
 	}
 	fmt.Printf("outputs equivalent (%d vertices checked)\n", rep.Checked)
+	return nil
+}
+
+// cmdGranula renders a Granula performance record written by
+// `run -granula` as a phase tree, validates it against the standard
+// platform performance model and prints the metrics the model derives.
+func cmdGranula(args []string) error {
+	if len(args) != 1 {
+		return fmt.Errorf("usage: graphalytics granula <file.json>")
+	}
+	f, err := os.Open(args[0])
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	a, err := granula.ReadArchive(f)
+	if err != nil {
+		return err
+	}
+	if err := granula.Render(os.Stdout, a); err != nil {
+		return err
+	}
+	model := granula.StandardModel(a.Platform)
+	if err := model.Validate(a); err != nil {
+		return fmt.Errorf("model validation: %w", err)
+	}
+	fmt.Println("record conforms to the standard platform performance model")
+	derived := model.Derive(a)
+	for _, metric := range slices.Sorted(maps.Keys(derived)) {
+		fmt.Printf("derived metric %s = %v\n", metric, derived[metric])
+	}
 	return nil
 }
 

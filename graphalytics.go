@@ -129,9 +129,6 @@ func Run(ctx context.Context, platformName string, g *Graph, a Algorithm, p Para
 	if err != nil {
 		return nil, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	up, err := platform.UploadContext(ctx, pl, g, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("graphalytics: upload to %s: %w", platformName, err)
@@ -144,20 +141,9 @@ func Run(ctx context.Context, platformName string, g *Graph, a Algorithm, p Para
 // onto ctx: the deadline covers upload plus execution, and cancelling ctx
 // aborts the job early.
 func RunWithBudget(ctx context.Context, platformName string, g *Graph, a Algorithm, p Params, cfg RunConfig, budget time.Duration) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	bctx, cancel := context.WithTimeout(ctx, budget)
 	defer cancel()
 	return Run(bctx, platformName, g, a, p, cfg)
-}
-
-// RunWithTimeout is Run with an SLA-style makespan budget.
-//
-// Deprecated: use RunWithBudget, which takes a context, so callers can
-// also cancel the job early; RunWithTimeout cannot be interrupted.
-func RunWithTimeout(platformName string, g *Graph, a Algorithm, p Params, cfg RunConfig, budget time.Duration) (*Result, error) {
-	return RunWithBudget(context.Background(), platformName, g, a, p, cfg, budget)
 }
 
 // Reference computes the reference output that defines correctness for an

@@ -2,6 +2,7 @@ package graphalytics_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -58,15 +59,22 @@ func TestFacadeRunUnknownPlatform(t *testing.T) {
 	}
 }
 
-func TestFacadeRunWithTimeout(t *testing.T) {
+func TestFacadeRunWithBudget(t *testing.T) {
 	g := toyGraph(t)
-	res, err := graphalytics.RunWithTimeout("native", g, graphalytics.BFS,
-		graphalytics.Params{Source: 1}, graphalytics.RunConfig{Threads: 1}, time.Minute)
+	run := func(budget time.Duration) (*graphalytics.Result, error) {
+		return graphalytics.RunWithBudget(t.Context(), "native", g, graphalytics.BFS,
+			graphalytics.Params{Source: 1}, graphalytics.RunConfig{Threads: 1}, budget)
+	}
+	res, err := run(time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.ProcessingTime <= 0 {
 		t.Fatal("expected positive processing time")
+	}
+	// A zero budget has expired before upload starts.
+	if _, err := run(0); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("zero budget: err = %v, want context.DeadlineExceeded", err)
 	}
 }
 

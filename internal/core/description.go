@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -139,35 +138,6 @@ func (s *Session) RunDescription(ctx context.Context, d *Description) ([]JobResu
 		return nil, err
 	}
 	return s.RunPlan(ctx, plan)
-}
-
-// RunDescription executes the full job matrix of a description through
-// the runner sequentially and returns the results run before any
-// harness-level failure, in execution order.
-//
-// Deprecated: use Session.RunDescription, which takes a context,
-// schedules independent jobs concurrently, and returns one result per
-// job.
-func RunDescription(r *Runner, d *Description) ([]JobResult, error) {
-	jobs, err := d.Jobs()
-	if err != nil {
-		return nil, err
-	}
-	s := r.Session()
-	results := make([]JobResult, 0, len(jobs))
-	var sinkErrs []error
-	for _, spec := range jobs {
-		//graphalint:ctxbg deprecated ctx-less legacy path: RunDescription via Session.Compile is the ctx-first route
-		res, err := s.RunJob(context.Background(), spec)
-		if err != nil {
-			if !errors.Is(err, ErrSink) {
-				return results, err
-			}
-			sinkErrs = append(sinkErrs, err)
-		}
-		results = append(results, res)
-	}
-	return results, errors.Join(sinkErrs...)
 }
 
 // WriteDescription serializes a description as JSON.

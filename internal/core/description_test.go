@@ -61,30 +61,6 @@ func TestDescriptionValidate(t *testing.T) {
 	}
 }
 
-func TestRunDescription(t *testing.T) {
-	r := newTestRunner()
-	d := &core.Description{
-		Name:       "smoke",
-		Platforms:  []string{"native"},
-		Datasets:   []string{"R1"},
-		Algorithms: []algorithms.Algorithm{algorithms.BFS, algorithms.WCC},
-		Threads:    2,
-		SLA:        time.Minute,
-	}
-	results, err := core.RunDescription(r, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("got %d results, want 2", len(results))
-	}
-	for _, res := range results {
-		if res.Status != core.StatusOK {
-			t.Fatalf("%s: %s (%s)", res.Spec.Algorithm, res.Status, res.Error)
-		}
-	}
-}
-
 func TestDescriptionJSONRoundTrip(t *testing.T) {
 	d := &core.Description{
 		Name:      "rt",

@@ -46,14 +46,6 @@ type ExperimentConfig struct {
 	Repetitions int
 }
 
-func orBackground(ctx context.Context) context.Context {
-	if ctx == nil {
-		//graphalint:ctxbg nil-ctx guard for deprecated ctx-less entry points; ctx-first callers never hit it
-		return context.Background()
-	}
-	return ctx
-}
-
 // effectivePlatform substitutes the distributed matrix backend for SSSP on
 // the shared-memory one, exactly as the paper does ("SSSP is not supported
 // in S, so we use D only for this algorithm").
@@ -137,7 +129,6 @@ func DatasetVarietySpec(cfg ExperimentConfig) BenchSpec {
 // runs it: one upload per (platform, dataset) deployment covers both
 // algorithms. Reads Platforms and Threads.
 func (s *Session) DatasetVariety(ctx context.Context, cfg ExperimentConfig) (*Report, error) {
-	ctx = orBackground(ctx)
 	datasets, err := workload.UpToClassWith(s.loadGraph, metrics.ClassL)
 	if err != nil {
 		return nil, err
@@ -260,7 +251,6 @@ func AlgorithmVarietySpec(cfg ExperimentConfig) BenchSpec {
 // and runs it: each (platform, dataset) deployment uploads once for its
 // five non-SSSP algorithms. Reads Platforms and Threads.
 func (s *Session) AlgorithmVariety(ctx context.Context, cfg ExperimentConfig) (*Report, error) {
-	ctx = orBackground(ctx)
 	finish := s.experimentSpan("fig6")
 	defer finish()
 	idx, sinkErr := s.runSpec(ctx, AlgorithmVarietySpec(cfg))
@@ -318,7 +308,6 @@ func VerticalScalabilitySpec(cfg ExperimentConfig) BenchSpec {
 // deployment (engines lay data out per configuration), shared by both
 // algorithms. Reads Platforms and ThreadSweep.
 func (s *Session) VerticalScalability(ctx context.Context, cfg ExperimentConfig) (*Report, error) {
-	ctx = orBackground(ctx)
 	finish := s.experimentSpan("fig7")
 	defer finish()
 	idx, sinkErr := s.runSpec(ctx, VerticalScalabilitySpec(cfg))
@@ -406,7 +395,6 @@ func StrongScalingSpec(cfg ExperimentConfig) BenchSpec {
 // StrongScaling (Section 4.4, Figure 8) compiles StrongScalingSpec and
 // runs it. Reads Platforms, MachineSweep and Threads.
 func (s *Session) StrongScaling(ctx context.Context, cfg ExperimentConfig) (*Report, error) {
-	ctx = orBackground(ctx)
 	finish := s.experimentSpan("fig8")
 	defer finish()
 	idx, sinkErr := s.runSpec(ctx, StrongScalingSpec(cfg))
@@ -470,7 +458,6 @@ func WeakScalingSpec(cfg ExperimentConfig) BenchSpec {
 // WeakScaling (Section 4.5, Figure 9) compiles WeakScalingSpec and runs
 // it. Reads Platforms, WeakPairs and Threads.
 func (s *Session) WeakScaling(ctx context.Context, cfg ExperimentConfig) (*Report, error) {
-	ctx = orBackground(ctx)
 	finish := s.experimentSpan("fig9")
 	defer finish()
 	idx, sinkErr := s.runSpec(ctx, WeakScalingSpec(cfg))
@@ -525,7 +512,6 @@ func StressTestSpec(cfg ExperimentConfig) BenchSpec {
 // declares the unpruned matrix). Reads Platforms, Threads and
 // MemoryBudget.
 func (s *Session) StressTest(ctx context.Context, cfg ExperimentConfig) (*Report, error) {
-	ctx = orBackground(ctx)
 	type scored struct {
 		d     workload.Dataset
 		scale float64
@@ -618,7 +604,6 @@ func VariabilitySpec(cfg ExperimentConfig) BenchSpec {
 // coefficient of variation. Reads SingleMachine, Distributed, Repetitions
 // and Threads.
 func (s *Session) Variability(ctx context.Context, cfg ExperimentConfig) (*Report, error) {
-	ctx = orBackground(ctx)
 	n := cfg.Repetitions
 	if n < 1 {
 		n = 1
@@ -685,7 +670,6 @@ func MakespanBreakdownSpec(cfg ExperimentConfig) BenchSpec {
 // each platform's upload is real, never amortized. Reads Platforms and
 // Threads.
 func (s *Session) MakespanBreakdown(ctx context.Context, cfg ExperimentConfig) (*Report, error) {
-	ctx = orBackground(ctx)
 	finish := s.experimentSpan("table8")
 	defer finish()
 	idx, sinkErr := s.runSpec(ctx, MakespanBreakdownSpec(cfg))
@@ -722,76 +706,4 @@ func (s *Session) MakespanBreakdown(ctx context.Context, cfg ExperimentConfig) (
 	rep.Notes = append(rep.Notes,
 		"overhead (makespan - Tproc) covers engine setup, graph loading and output offload; the paper reports 66-99.8% overhead for JVM/cluster platforms")
 	return rep, sinkErr
-}
-
-// ---- Deprecated positional experiment entry points ----
-//
-// These shims keep the pre-Session API compiling for one release. Each
-// delegates to the context-first Session method with a sequential session
-// derived from the runner.
-
-// DatasetVariety runs Figure 4.
-//
-// Deprecated: use Session.DatasetVariety.
-func DatasetVariety(r *Runner, platforms []string, threads int) (*Report, error) {
-	//graphalint:ctxbg deprecated ctx-less shim: documented to run under a background root
-	return r.Session().DatasetVariety(context.Background(), ExperimentConfig{Platforms: platforms, Threads: threads})
-}
-
-// AlgorithmVariety runs Figure 6.
-//
-// Deprecated: use Session.AlgorithmVariety.
-func AlgorithmVariety(r *Runner, platforms []string, threads int) (*Report, error) {
-	//graphalint:ctxbg deprecated ctx-less shim: documented to run under a background root
-	return r.Session().AlgorithmVariety(context.Background(), ExperimentConfig{Platforms: platforms, Threads: threads})
-}
-
-// VerticalScalability runs Figure 7.
-//
-// Deprecated: use Session.VerticalScalability.
-func VerticalScalability(r *Runner, platforms []string, threadSweep []int) (*Report, error) {
-	//graphalint:ctxbg deprecated ctx-less shim: documented to run under a background root
-	return r.Session().VerticalScalability(context.Background(), ExperimentConfig{Platforms: platforms, ThreadSweep: threadSweep})
-}
-
-// StrongScaling runs Figure 8.
-//
-// Deprecated: use Session.StrongScaling.
-func StrongScaling(r *Runner, platforms []string, machineSweep []int, threads int) (*Report, error) {
-	//graphalint:ctxbg deprecated ctx-less shim: documented to run under a background root
-	return r.Session().StrongScaling(context.Background(), ExperimentConfig{Platforms: platforms, MachineSweep: machineSweep, Threads: threads})
-}
-
-// WeakScaling runs Figure 9.
-//
-// Deprecated: use Session.WeakScaling.
-func WeakScaling(r *Runner, platforms []string, pairs []WeakPair, threads int) (*Report, error) {
-	//graphalint:ctxbg deprecated ctx-less shim: documented to run under a background root
-	return r.Session().WeakScaling(context.Background(), ExperimentConfig{Platforms: platforms, WeakPairs: pairs, Threads: threads})
-}
-
-// StressTest runs Table 10.
-//
-// Deprecated: use Session.StressTest.
-func StressTest(r *Runner, platforms []string, threads int, memoryBudget int64) (*Report, error) {
-	//graphalint:ctxbg deprecated ctx-less shim: documented to run under a background root
-	return r.Session().StressTest(context.Background(), ExperimentConfig{Platforms: platforms, Threads: threads, MemoryBudget: memoryBudget})
-}
-
-// Variability runs Table 11.
-//
-// Deprecated: use Session.Variability.
-func Variability(r *Runner, singleMachine, distributed []string, n, threads int) (*Report, error) {
-	//graphalint:ctxbg deprecated ctx-less shim: documented to run under a background root
-	return r.Session().Variability(context.Background(), ExperimentConfig{
-		SingleMachine: singleMachine, Distributed: distributed, Repetitions: n, Threads: threads,
-	})
-}
-
-// MakespanBreakdown runs Table 8.
-//
-// Deprecated: use Session.MakespanBreakdown.
-func MakespanBreakdown(r *Runner, platforms []string, threads int) (*Report, error) {
-	//graphalint:ctxbg deprecated ctx-less shim: documented to run under a background root
-	return r.Session().MakespanBreakdown(context.Background(), ExperimentConfig{Platforms: platforms, Threads: threads})
 }

@@ -3,6 +3,7 @@ package core_test
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"graphalytics/internal/core"
 )
@@ -10,6 +11,12 @@ import (
 // fastPlatforms keeps experiment integration tests quick while still
 // covering a single-machine and a distributed engine.
 var fastPlatforms = []string{"native", "spmv-s"}
+
+// newTestSession returns a sequential session with a generous SLA, so
+// experiment tests time one job at a time like the paper's runs.
+func newTestSession(opts ...core.Option) *core.Session {
+	return core.NewSession(append([]core.Option{core.WithSLA(2 * time.Minute), core.WithParallelism(1)}, opts...)...)
+}
 
 func renderOK(t *testing.T, rep *core.Report) string {
 	t.Helper()
@@ -24,8 +31,8 @@ func renderOK(t *testing.T, rep *core.Report) string {
 }
 
 func TestDatasetVarietyExperiment(t *testing.T) {
-	r := newTestRunner()
-	rep, err := core.DatasetVariety(r, fastPlatforms, 2)
+	s := newTestSession()
+	rep, err := s.DatasetVariety(t.Context(), core.ExperimentConfig{Platforms: fastPlatforms, Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +49,7 @@ func TestDatasetVarietyExperiment(t *testing.T) {
 		}
 	}
 	// Every job in the DB must have validated output.
-	for _, res := range r.DB.All() {
+	for _, res := range s.DB().All() {
 		if res.Status == core.StatusOK && !res.ValidationOK {
 			t.Errorf("unvalidated OK result: %+v", res.Spec)
 		}
@@ -50,11 +57,11 @@ func TestDatasetVarietyExperiment(t *testing.T) {
 }
 
 func TestThroughputReport(t *testing.T) {
-	r := newTestRunner()
-	if _, err := core.DatasetVariety(r, fastPlatforms, 2); err != nil {
+	s := newTestSession()
+	if _, err := s.DatasetVariety(t.Context(), core.ExperimentConfig{Platforms: fastPlatforms, Threads: 2}); err != nil {
 		t.Fatal(err)
 	}
-	rep := core.ThroughputReport(r.DB, fastPlatforms)
+	rep := core.ThroughputReport(s.DB(), fastPlatforms)
 	out := renderOK(t, rep)
 	if !strings.Contains(out, "/s") {
 		t.Fatalf("fig5 output has no rates:\n%s", out)
@@ -62,8 +69,8 @@ func TestThroughputReport(t *testing.T) {
 }
 
 func TestAlgorithmVarietyExperiment(t *testing.T) {
-	r := newTestRunner()
-	rep, err := core.AlgorithmVariety(r, []string{"native", "spmv-s", "pushpull"}, 2)
+	s := newTestSession()
+	rep, err := s.AlgorithmVariety(t.Context(), core.ExperimentConfig{Platforms: []string{"native", "spmv-s", "pushpull"}, Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +88,11 @@ func TestAlgorithmVarietyExperiment(t *testing.T) {
 }
 
 func TestVerticalScalabilityAndSpeedup(t *testing.T) {
-	r := newTestRunner()
-	if _, err := core.VerticalScalability(r, []string{"native"}, []int{1, 4}); err != nil {
+	s := newTestSession()
+	if _, err := s.VerticalScalability(t.Context(), core.ExperimentConfig{Platforms: []string{"native"}, ThreadSweep: []int{1, 4}}); err != nil {
 		t.Fatal(err)
 	}
-	rep := core.VerticalSpeedupReport(r.DB, []string{"native"})
+	rep := core.VerticalSpeedupReport(s.DB(), []string{"native"})
 	out := renderOK(t, rep)
 	if !strings.Contains(out, "BFS") || !strings.Contains(out, "PR") {
 		t.Fatalf("table9 output incomplete:\n%s", out)
@@ -93,15 +100,15 @@ func TestVerticalScalabilityAndSpeedup(t *testing.T) {
 }
 
 func TestStrongScalingExperiment(t *testing.T) {
-	r := newTestRunner()
-	rep, err := core.StrongScaling(r, []string{"spmv-d"}, []int{1, 4}, 2)
+	s := newTestSession()
+	rep, err := s.StrongScaling(t.Context(), core.ExperimentConfig{Platforms: []string{"spmv-d"}, MachineSweep: []int{1, 4}, Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	renderOK(t, rep)
 	// Distributed 4-machine runs must be present and OK.
 	found := false
-	for _, res := range r.DB.Query(core.Filter{Platform: "spmv-d", Machines: 4}) {
+	for _, res := range s.DB().Query(core.Filter{Platform: "spmv-d", Machines: 4}) {
 		if res.Status == core.StatusOK {
 			found = true
 			if res.NetworkTime <= 0 {
@@ -115,9 +122,9 @@ func TestStrongScalingExperiment(t *testing.T) {
 }
 
 func TestWeakScalingExperiment(t *testing.T) {
-	r := newTestRunner()
+	s := newTestSession()
 	pairs := []core.WeakPair{{Machines: 1, Dataset: "G22"}, {Machines: 2, Dataset: "G23"}}
-	rep, err := core.WeakScaling(r, []string{"spmv-d"}, pairs, 2)
+	rep, err := s.WeakScaling(t.Context(), core.ExperimentConfig{Platforms: []string{"spmv-d"}, WeakPairs: pairs, Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +135,10 @@ func TestWeakScalingExperiment(t *testing.T) {
 }
 
 func TestStressTestExperiment(t *testing.T) {
-	r := newTestRunner()
-	r.Validate = false
+	s := newTestSession(core.WithValidation(false))
 	// A 200 KiB budget forces every engine to fail somewhere in the
 	// catalog while still completing the smallest graphs.
-	rep, err := core.StressTest(r, []string{"native", "dataflow"}, 2, 200<<10)
+	rep, err := s.StressTest(t.Context(), core.ExperimentConfig{Platforms: []string{"native", "dataflow"}, Threads: 2, MemoryBudget: 200 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +164,8 @@ func TestStressTestExperiment(t *testing.T) {
 }
 
 func TestVariabilityExperiment(t *testing.T) {
-	r := newTestRunner()
-	rep, err := core.Variability(r, []string{"native"}, []string{"spmv-d"}, 3, 2)
+	s := newTestSession()
+	rep, err := s.Variability(t.Context(), core.ExperimentConfig{SingleMachine: []string{"native"}, Distributed: []string{"spmv-d"}, Repetitions: 3, Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,8 +176,8 @@ func TestVariabilityExperiment(t *testing.T) {
 }
 
 func TestMakespanBreakdownExperiment(t *testing.T) {
-	r := newTestRunner()
-	rep, err := core.MakespanBreakdown(r, fastPlatforms, 2)
+	s := newTestSession()
+	rep, err := s.MakespanBreakdown(t.Context(), core.ExperimentConfig{Platforms: fastPlatforms, Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,23 +212,23 @@ func TestStepBreakdownExperiment(t *testing.T) {
 }
 
 func TestResultsDBRoundTrip(t *testing.T) {
-	r := newTestRunner()
-	if _, err := core.MakespanBreakdown(r, []string{"native"}, 1); err != nil {
+	s := newTestSession()
+	if _, err := s.MakespanBreakdown(t.Context(), core.ExperimentConfig{Platforms: []string{"native"}, Threads: 1}); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
 	path := dir + "/results.jsonl"
-	if err := r.DB.Save(path); err != nil {
+	if err := s.DB().Save(path); err != nil {
 		t.Fatal(err)
 	}
 	back, err := core.LoadResults(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != r.DB.Len() {
-		t.Fatalf("round trip lost results: %d vs %d", back.Len(), r.DB.Len())
+	if back.Len() != s.DB().Len() {
+		t.Fatalf("round trip lost results: %d vs %d", back.Len(), s.DB().Len())
 	}
-	orig, loaded := r.DB.All()[0], back.All()[0]
+	orig, loaded := s.DB().All()[0], back.All()[0]
 	if orig.Spec != loaded.Spec || orig.Status != loaded.Status || orig.ProcessingTime != loaded.ProcessingTime {
 		t.Fatalf("record changed in round trip:\n%+v\n%+v", orig, loaded)
 	}

@@ -73,8 +73,8 @@ func registerFaulty(t *testing.T, mode string) string {
 
 func TestHarnessDetectsWrongOutput(t *testing.T) {
 	name := registerFaulty(t, "wrong-output")
-	r := newTestRunner()
-	res, err := r.RunJob(core.JobSpec{Platform: name, Dataset: "R1", Algorithm: algorithms.BFS, Threads: 1, Machines: 1})
+	s := newTestSession()
+	res, err := s.RunJob(t.Context(), core.JobSpec{Platform: name, Dataset: "R1", Algorithm: algorithms.BFS, Threads: 1, Machines: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +88,8 @@ func TestHarnessDetectsWrongOutput(t *testing.T) {
 
 func TestHarnessClassifiesCrash(t *testing.T) {
 	name := registerFaulty(t, "error")
-	r := newTestRunner()
-	res, err := r.RunJob(core.JobSpec{Platform: name, Dataset: "R1", Algorithm: algorithms.BFS, Threads: 1, Machines: 1})
+	s := newTestSession()
+	res, err := s.RunJob(t.Context(), core.JobSpec{Platform: name, Dataset: "R1", Algorithm: algorithms.BFS, Threads: 1, Machines: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +100,8 @@ func TestHarnessClassifiesCrash(t *testing.T) {
 
 func TestHarnessClassifiesHangAsSLABreak(t *testing.T) {
 	name := registerFaulty(t, "hang")
-	r := newTestRunner()
-	res, err := r.RunJob(core.JobSpec{
+	s := newTestSession()
+	res, err := s.RunJob(t.Context(), core.JobSpec{
 		Platform: name, Dataset: "R1", Algorithm: algorithms.BFS,
 		Threads: 1, Machines: 1, SLA: 50 * time.Millisecond,
 	})
@@ -115,8 +115,8 @@ func TestHarnessClassifiesHangAsSLABreak(t *testing.T) {
 
 func TestHarnessClassifiesUploadOOM(t *testing.T) {
 	name := registerFaulty(t, "upload-error")
-	r := newTestRunner()
-	res, err := r.RunJob(core.JobSpec{Platform: name, Dataset: "R1", Algorithm: algorithms.BFS, Threads: 1, Machines: 1})
+	s := newTestSession()
+	res, err := s.RunJob(t.Context(), core.JobSpec{Platform: name, Dataset: "R1", Algorithm: algorithms.BFS, Threads: 1, Machines: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,15 +126,15 @@ func TestHarnessClassifiesUploadOOM(t *testing.T) {
 }
 
 func TestAnalyze(t *testing.T) {
-	r := newTestRunner()
+	s := newTestSession()
 	for _, p := range []string{"native", "pregel"} {
 		for _, ds := range []string{"R1", "R2"} {
-			if _, err := r.RunJob(core.JobSpec{Platform: p, Dataset: ds, Algorithm: algorithms.BFS, Threads: 2, Machines: 1}); err != nil {
+			if _, err := s.RunJob(t.Context(), core.JobSpec{Platform: p, Dataset: ds, Algorithm: algorithms.BFS, Threads: 2, Machines: 1}); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	summaries := core.Analyze(r.DB)
+	summaries := core.Analyze(s.DB())
 	if len(summaries) != 2 {
 		t.Fatalf("got %d summaries, want 2", len(summaries))
 	}
@@ -142,12 +142,12 @@ func TestAnalyze(t *testing.T) {
 	if summaries[0].GeoMeanSlowdown < 1 || summaries[1].GeoMeanSlowdown < summaries[0].GeoMeanSlowdown {
 		t.Fatalf("slowdown ordering wrong: %+v", summaries)
 	}
-	for _, s := range summaries {
-		if s.SLACompliance != 1 {
-			t.Errorf("%s: SLA compliance %v, want 1", s.Platform, s.SLACompliance)
+	for _, sum := range summaries {
+		if sum.SLACompliance != 1 {
+			t.Errorf("%s: SLA compliance %v, want 1", sum.Platform, sum.SLACompliance)
 		}
 	}
-	rep := core.AnalysisReport(r.DB)
+	rep := core.AnalysisReport(s.DB())
 	out := renderOK(t, rep)
 	if len(rep.Notes) == 0 {
 		t.Fatalf("analysis report should derive a key finding:\n%s", out)

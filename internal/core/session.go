@@ -6,11 +6,11 @@
 // Table 6 — baseline, scalability, robustness and self-test — rendering a
 // report per paper figure or table.
 //
-// The public entry point is the Session: a context-first, concurrency-safe
+// The single entry point is the Session: a context-first, concurrency-safe
 // orchestrator constructed with functional options. Sessions run single
-// jobs (RunJob), repetitions (RunRepeated) and whole job matrices on a
-// bounded worker pool (RunAll), and stream progress through an Observer.
-// The legacy Runner in runner.go remains as a deprecated shim.
+// jobs (RunJob) and whole job matrices on a bounded worker pool (RunAll,
+// or RunPlan for a compiled spec, whose Repetitions repeat a job), and
+// stream progress through an Observer.
 package core
 
 import (
@@ -370,10 +370,6 @@ func classifyUpload(callerErr, err error, uploadTime, sla time.Duration) (Status
 // group's upload (see RunPlan); the lease's reference is released by the
 // caller, not here, so the handle outlives this job for the group.
 func (s *Session) execute(ctx context.Context, spec JobSpec, pos batchPos, lease *uploadLease) (res JobResult, err error) {
-	if ctx == nil {
-		//graphalint:ctxbg nil-ctx guard for deprecated ctx-less entry points; ctx-first callers never hit it
-		ctx = context.Background()
-	}
 	s.emit(Event{Type: EventJobStarted, Spec: spec, Index: pos.index, Total: pos.total})
 	defer func() {
 		r := res
@@ -528,27 +524,6 @@ func (s *Session) execute(ctx context.Context, spec JobSpec, pos batchPos, lease
 	}
 	res.Status = StatusOK
 	return res, nil
-}
-
-// RunRepeated executes the same job n times (the variability experiment).
-// Repetitions run sequentially: overlapping them would perturb the very
-// timing distribution the experiment measures. Sink-delivery failures
-// (ErrSink) do not stop the repetitions; they are joined into the
-// returned error alongside the completed results.
-func (s *Session) RunRepeated(ctx context.Context, spec JobSpec, n int) ([]JobResult, error) {
-	out := make([]JobResult, 0, n)
-	var sinkErrs []error
-	for i := 0; i < n; i++ {
-		res, err := s.RunJob(ctx, spec)
-		if err != nil {
-			if !errors.Is(err, ErrSink) {
-				return out, err
-			}
-			sinkErrs = append(sinkErrs, err)
-		}
-		out = append(out, res)
-	}
-	return out, errors.Join(sinkErrs...)
 }
 
 // RunAll executes independent jobs on a bounded worker pool and returns

@@ -10,7 +10,76 @@ import (
 	"graphalytics/internal/core"
 	"graphalytics/internal/graph"
 	"graphalytics/internal/platform"
+	"graphalytics/internal/platforms"
 )
+
+func init() { platforms.RegisterAll() }
+
+// TestSessionRunJob covers RunJob's outcomes one job at a time: a
+// validated OK job, harness errors for unknown names, the unsupported,
+// OOM and SLA-break statuses, and modeled network time on every
+// distributed engine.
+func TestSessionRunJob(t *testing.T) {
+	type tc struct {
+		name    string
+		spec    core.JobSpec
+		wantErr bool
+		want    core.Status
+	}
+	cases := []tc{
+		{name: "ok", spec: core.JobSpec{Platform: "native", Dataset: "R1", Algorithm: algorithms.BFS, Threads: 2, Machines: 1}, want: core.StatusOK},
+		{name: "unknown-platform", spec: core.JobSpec{Platform: "nope", Dataset: "R1", Algorithm: algorithms.BFS}, wantErr: true},
+		{name: "unknown-dataset", spec: core.JobSpec{Platform: "native", Dataset: "nope", Algorithm: algorithms.BFS}, wantErr: true},
+		{name: "unsupported", spec: core.JobSpec{Platform: "pushpull", Dataset: "R4", Algorithm: algorithms.LCC, Threads: 1, Machines: 1}, want: core.StatusUnsupported},
+		// R1 is unweighted; SSSP must be reported unsupported, not failed.
+		{name: "sssp-unweighted", spec: core.JobSpec{Platform: "native", Dataset: "R1", Algorithm: algorithms.SSSP, Threads: 1, Machines: 1}, want: core.StatusUnsupported},
+		{name: "oom", spec: core.JobSpec{Platform: "native", Dataset: "R4", Algorithm: algorithms.BFS, Threads: 1, Machines: 1, MemoryPerMachine: 1024}, want: core.StatusOOM},
+		{name: "sla-break", spec: core.JobSpec{Platform: "dataflow", Dataset: "D300", Algorithm: algorithms.PR, Threads: 1, Machines: 1, SLA: time.Microsecond}, want: core.StatusSLABreak},
+	}
+	for _, p := range platforms.DistributedSet {
+		cases = append(cases, tc{
+			name: "distributed-" + p,
+			spec: core.JobSpec{Platform: p, Dataset: "R2", Algorithm: algorithms.BFS, Threads: 2, Machines: 4},
+			want: core.StatusOK,
+		})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := newTestSession()
+			res, err := s.RunJob(t.Context(), c.spec)
+			if c.wantErr {
+				if err == nil {
+					t.Fatal("expected a harness error")
+				}
+				if s.DB().Len() != 0 {
+					t.Fatalf("results DB has %d records after a harness error, want 0", s.DB().Len())
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Status != c.want {
+				t.Fatalf("status %s (%s), want %s", res.Status, res.Error, c.want)
+			}
+			if s.DB().Len() != 1 {
+				t.Fatalf("results DB has %d records, want 1", s.DB().Len())
+			}
+			if c.want != core.StatusOK {
+				return
+			}
+			if !res.Validated || !res.ValidationOK {
+				t.Fatalf("expected validated output, got %+v", res)
+			}
+			if res.ProcessingTime <= 0 || res.EPS <= 0 || res.EVPS <= 0 {
+				t.Fatalf("expected positive Tproc, EPS and EVPS, got %v, %v, %v", res.ProcessingTime, res.EPS, res.EVPS)
+			}
+			if c.spec.Machines > 1 && res.NetworkTime <= 0 {
+				t.Fatal("expected modeled network time on a multi-machine run")
+			}
+		})
+	}
+}
 
 // batchSpecs is a mixed 18-job matrix with deterministic statuses: OK
 // jobs across two platforms and datasets, an unsupported job and an OOM

@@ -11,7 +11,7 @@ import (
 // non-test library code under internal/ must never mint its own
 // context.Background()/context.TODO() — the session and service layers
 // own the root context and everything below them inherits the caller's.
-// Deprecated compatibility shims and process roots carry
+// A process root (the daemon's lifetime context) carries
 // `//graphalint:ctxbg <reason>`.
 var CtxFirst = &Analyzer{
 	Name:   "ctxfirst",
@@ -48,7 +48,7 @@ func runCtxFirst(p *Pass) {
 				obj := calleeOf(p.Pkg.Info, call)
 				for _, name := range [...]string{"Background", "TODO"} {
 					if isPkgFunc(obj, "context", name) {
-						p.Report(call, "context.%s in internal library code: thread the caller's ctx instead of minting a root; waive audited shims with //graphalint:ctxbg <reason>", name)
+						p.Report(call, "context.%s in internal library code: thread the caller's ctx instead of minting a root; waive a process root with //graphalint:ctxbg <reason>", name)
 					}
 				}
 				return true
