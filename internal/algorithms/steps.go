@@ -76,19 +76,14 @@ func PRPullRange(g *graph.Graph, contrib, next []float64, base, damping float64,
 	}
 }
 
-// CDLPRange runs one synchronous label-propagation step for v in [lo, hi):
-// next[v] becomes the most frequent label among v's neighbors (counting a
-// neighbor on both an in- and an out-edge twice in directed graphs),
-// smallest label on ties. The histogram is chunk-private; callers that
-// chunk sequentially (the native engine's simulated threads) reuse one
-// via CDLPRangeHist.
-func CDLPRange(g *graph.Graph, labels, next []int64, lo, hi int) {
-	CDLPRangeHist(g, labels, next, lo, hi, mplane.NewHistogram(16))
-}
-
-// CDLPRangeHist is CDLPRange counting into a caller-owned histogram. The
-// histogram's (highest count, smallest label) argmax is order-independent,
-// so the result is identical to the map-based fold it replaced.
+// CDLPRangeHist runs one synchronous label-propagation step for v in
+// [lo, hi): next[v] becomes the most frequent label among v's neighbors
+// (counting a neighbor on both an in- and an out-edge twice in directed
+// graphs), smallest label on ties. It counts into a caller-owned
+// histogram, so callers that chunk sequentially (the native engine's
+// simulated threads) reuse one. The histogram's (highest count, smallest
+// label) argmax is order-independent, so the result is identical to the
+// map-based fold it replaced.
 //
 //graphalint:noalloc per-chunk superstep body: counts into the caller-owned histogram
 func CDLPRangeHist(g *graph.Graph, labels, next []int64, lo, hi int, h *mplane.Histogram) {

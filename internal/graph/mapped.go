@@ -3,8 +3,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"runtime"
 	"sync/atomic"
@@ -43,31 +41,20 @@ func (m *mapping) release() {
 	}
 }
 
-// MapSnapshotFile opens a v2 snapshot as an mmap-backed Graph. The header
-// (including its CRC and the section table's consistency with the file
-// size) is validated eagerly, then the CSR arrays are sliced directly
-// over the mapping: open cost is O(header) no matter how large the graph
-// is, and pages fault in through the page cache on first touch. Section
-// payload CRCs are *not* verified on this path — use
-// MapSnapshotFileVerified or ReadSnapshotFile when the file is untrusted.
+// MapSnapshotFile opens a v2 snapshot as an mmap-backed Graph. The file
+// is mapped whole and run through the same parser as ReadSnapshotFile,
+// minus the payload checks: the header (its CRC, canonical fields and the
+// section table's consistency with the file size) is validated, then the
+// CSR arrays are sliced directly over the mapping. Open cost is O(header)
+// no matter how large the graph is, and pages fault in through the page
+// cache on first touch. Section payload CRCs are *not* verified on this
+// path — use ReadSnapshotFile when the file is untrusted.
 //
 // The returned Graph must eventually be released with Close (a finalizer
-// backstops forgotten handles). v1 snapshots and non-mmap platforms yield
-// ErrBadSnapshot / ErrMapUnsupported respectively; callers fall back to
+// backstops forgotten handles). Platforms without mmap or with a
+// big-endian byte order yield ErrMapUnsupported; callers fall back to
 // ReadSnapshotFile.
 func MapSnapshotFile(path string) (*Graph, error) {
-	return mapSnapshotFile(path, false)
-}
-
-// MapSnapshotFileVerified is MapSnapshotFile plus a full pass over the
-// mapping that checks every section CRC and the structural shape before
-// the Graph escapes. It gives the copying decoder's integrity guarantees
-// at mmap residency cost, reading the whole file once.
-func MapSnapshotFileVerified(path string) (*Graph, error) {
-	return mapSnapshotFile(path, true)
-}
-
-func mapSnapshotFile(path string, verify bool) (*Graph, error) {
 	if !mmapSupported || !hostLittleEndian {
 		return nil, ErrMapUnsupported
 	}
@@ -76,129 +63,48 @@ func mapSnapshotFile(path string, verify bool) (*Graph, error) {
 		return nil, err
 	}
 	defer f.Close()
-
-	var fixed [snapV2FixedBytes]byte
-	if _, err := io.ReadFull(f, fixed[:]); err != nil {
-		return nil, badSnapshot("reading v2 header: %v", err)
-	}
-	if string(fixed[:8]) != snapshotMagic {
-		return nil, badSnapshot("magic %q", fixed[:8])
-	}
-	if v := leU32(fixed[8:12]); v != snapshotVersion2 {
-		return nil, badSnapshot("version %d, want %d", v, snapshotVersion2)
-	}
-	nameLen := leU32(fixed[16:20])
-	if nameLen > 1<<20 {
-		return nil, badSnapshot("name length %d", nameLen)
-	}
-	hdr := make([]byte, snapV2NameOff+int(nameLen)+4)
-	copy(hdr, fixed[:])
-	if _, err := io.ReadFull(f, hdr[snapV2FixedBytes:]); err != nil {
-		return nil, badSnapshot("reading v2 header: %v", err)
-	}
-	h, err := parseV2Header(hdr)
-	if err != nil {
-		return nil, err
-	}
-	// The declared file size must match reality before any section offset
-	// is trusted: together with parseV2Header's bounds checks this is what
-	// rules out SIGBUS from slicing a truncated mapping.
 	st, err := f.Stat()
 	if err != nil {
 		return nil, fmt.Errorf("graph: map snapshot: %w", err)
 	}
-	if st.Size() != h.fileSize {
-		return nil, badSnapshot("file is %d bytes, header declares %d", st.Size(), h.fileSize)
+	// The header is read with pread, not through the mapping: touching a
+	// mapped page faults in its whole page-cache folio (2 MB on ext4 with
+	// large folios), so parsing in place would grow RSS by up to the file
+	// size on every open.
+	head, err := readAtMost(f, snapV2NameOff+4, st.Size())
+	if err != nil {
+		return nil, err
 	}
-
-	data, err := mmapFile(f, h.fileSize)
+	n, err := v2HeaderLen(head)
+	if err != nil {
+		return nil, err
+	}
+	if head, err = readAtMost(f, int64(n), st.Size()); err != nil {
+		return nil, err
+	}
+	data, err := mmapFile(f, st.Size())
 	if err != nil {
 		return nil, err
 	}
 	m := &mapping{data: data}
 	m.refs.Store(1) // the Graph's own reference
-
-	g := &Graph{
-		name:     h.name,
-		directed: h.directed(),
-		weighted: h.weighted(),
-		numEdges: h.numEdges,
-		mapped:   m,
+	g, err := decodeSnapshot(head, data, false)
+	if err != nil {
+		m.release()
+		return nil, err
 	}
-	g.ids = mapInt64s(data, h.secs[secIDs])
-	g.outOff = mapInt64s(data, h.secs[secOutOff])
-	g.outAdj = mapInt32s(data, h.secs[secOutAdj])
-	g.outW = mapFloat64s(data, h.secs[secOutW])
-	if g.directed {
-		g.inOff = mapInt64s(data, h.secs[secInOff])
-		g.inAdj = mapInt32s(data, h.secs[secInAdj])
-		g.inW = mapFloat64s(data, h.secs[secInW])
-	} else {
-		g.inOff, g.inAdj, g.inW = g.outOff, g.outAdj, g.outW
-	}
-
-	if verify {
-		err := verifySections(data, h)
-		if err == nil {
-			err = g.checkShape()
-		}
-		if err != nil {
-			// Drop every alias into the mapping before unmapping it.
-			g.ids, g.outOff, g.outAdj, g.outW = nil, nil, nil, nil
-			g.inOff, g.inAdj, g.inW = nil, nil, nil
-			g.mapped = nil
-			m.release()
-			return nil, err
-		}
-	}
+	g.mapped = m
 	runtime.SetFinalizer(g, (*Graph).finalizeMapping)
 	return g, nil
 }
 
-func leU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-// The section slicers reinterpret mapping bytes in place. Safety rests on
-// parseV2Header's invariants: offsets are page-aligned (hence aligned for
-// every element type), and off+size lies inside the mapping.
-
-func mapInt64s(data []byte, s v2Section) []int64 {
-	if s.size == 0 {
-		return nil
+// readAtMost reads the first min(n, size) bytes of f.
+func readAtMost(f *os.File, n, size int64) ([]byte, error) {
+	b := make([]byte, min(n, size))
+	if _, err := f.ReadAt(b, 0); err != nil {
+		return nil, badSnapshot("reading header: %v", err)
 	}
-	return unsafe.Slice((*int64)(unsafe.Pointer(&data[s.off])), s.size/8)
-}
-
-func mapInt32s(data []byte, s v2Section) []int32 {
-	if s.size == 0 {
-		return nil
-	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(&data[s.off])), s.size/4)
-}
-
-func mapFloat64s(data []byte, s v2Section) []float64 {
-	if s.size == 0 {
-		return nil
-	}
-	return unsafe.Slice((*float64)(unsafe.Pointer(&data[s.off])), s.size/8)
-}
-
-func verifySections(data []byte, h *v2Header) error {
-	pos := h.headerLen()
-	for i, s := range h.secs {
-		if s.size == 0 {
-			continue
-		}
-		if !allZero(data[pos:s.off]) {
-			return badSnapshot("nonzero padding before section %d", i)
-		}
-		if got := crc32.Checksum(data[s.off:s.off+s.size], crcTable); got != s.crc {
-			return badSnapshot("section %d checksum %08x, want %08x", i, got, s.crc)
-		}
-		pos = s.off + s.size
-	}
-	return nil
+	return b, nil
 }
 
 // Mapped reports whether the graph's arrays live in an mmap'd snapshot

@@ -73,16 +73,6 @@ func TestMapSnapshotFileMatchesHeapDecode(t *testing.T) {
 	}
 }
 
-func TestMapSnapshotFileVerified(t *testing.T) {
-	path, want := writeV2Fixture(t, true, true)
-	g, err := graph.MapSnapshotFileVerified(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	assertGraphsEqual(t, g, want)
-}
-
 // Retain must keep the mapping alive past Close: the graph store hands
 // out graphs whose eviction can race with engines still traversing them.
 func TestMappedRetainOutlivesClose(t *testing.T) {

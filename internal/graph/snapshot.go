@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,32 +8,19 @@ import (
 	"io"
 	"math"
 	"os"
+	"unsafe"
 )
 
-// The snapshot formats persist a built graph's CSR arrays verbatim, so a
-// cached dataset loads back with a handful of bulk reads instead of
-// re-parsing text or re-running a generator. This file holds the v1
-// stream format and the shared codec helpers; the page-aligned v2 format
-// (the mmap-able one WriteSnapshotFile now produces) lives in
-// snapshot_v2.go. DecodeSnapshot sniffs the version, so v1 files written
-// by older builds stay readable. v1 layout (little-endian):
-//
-//	magic   [8]byte  "GLYTSNAP"
-//	version uint32   (currently 1)
-//	flags   uint32   bit 0 directed, bit 1 weighted
-//	nameLen uint32, name bytes
-//	numVertices, numEdges, arcs  uint64
-//	ids       [numVertices]int64
-//	outOff    [numVertices+1]int64
-//	outAdj    [arcs]int32
-//	outW      [arcs]float64            (weighted only)
-//	inOff, inAdj, inW                  (directed only; same shapes)
-//	checksum  uint32   CRC-32C over everything before it
-//
-// Decoding verifies the magic, version and checksum and bounds-checks the
-// header, returning an error wrapping ErrBadSnapshot for any mismatch so
-// callers can treat a stale or corrupt snapshot as a cache miss rather
-// than a hard failure.
+// A snapshot persists a built graph's CSR arrays verbatim, so a cached
+// dataset loads back without re-parsing text or re-running a generator.
+// The on-disk layout is the page-aligned v2 format described in
+// snapshot_v2.go. This file holds the entry points and the one parser:
+// decodeSnapshot reads a complete snapshot image from a byte slice and
+// slices the CSR arrays over it in place. ReadSnapshotFile runs it over a
+// heap copy of the file with every payload check; MapSnapshotFile runs it
+// over an mmap of the file with header checks only. Every failure caused
+// by the bytes themselves wraps ErrBadSnapshot, so callers can treat a
+// stale or corrupt snapshot as a cache miss rather than a hard failure.
 
 // ErrBadSnapshot is wrapped by every decode failure caused by the snapshot
 // bytes themselves (bad magic, unknown version, truncation, checksum
@@ -42,209 +28,19 @@ import (
 var ErrBadSnapshot = errors.New("graph: bad snapshot")
 
 const (
-	snapshotMagic   = "GLYTSNAP"
-	snapshotVersion = 1
+	snapshotMagic = "GLYTSNAP"
 
 	snapFlagDirected = 1 << 0
 	snapFlagWeighted = 1 << 1
 
-	// snapshotMaxElems bounds header-declared array lengths before any
-	// allocation, so a corrupt header cannot OOM the process. Vertex
-	// counts must fit int32 anyway (internal indices are int32).
+	// snapshotMaxElems bounds header-declared array lengths. Vertex counts
+	// must fit int32 anyway (internal indices are int32).
 	snapshotMaxElems = 1 << 34
 )
 
 // crcTable is the Castagnoli polynomial, hardware-accelerated on amd64 and
 // arm64.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// EncodeSnapshot writes g to w in the binary snapshot format.
-func EncodeSnapshot(w io.Writer, g *Graph) error {
-	crc := crc32.New(crcTable)
-	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 1<<16)
-
-	if _, err := bw.WriteString(snapshotMagic); err != nil {
-		return fmt.Errorf("graph: encode snapshot: %w", err)
-	}
-	var flags uint32
-	if g.directed {
-		flags |= snapFlagDirected
-	}
-	if g.weighted {
-		flags |= snapFlagWeighted
-	}
-	name := []byte(g.name)
-	hdr := make([]byte, 0, 64)
-	hdr = binary.LittleEndian.AppendUint32(hdr, snapshotVersion)
-	hdr = binary.LittleEndian.AppendUint32(hdr, flags)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(name)))
-	if _, err := bw.Write(hdr); err != nil {
-		return fmt.Errorf("graph: encode snapshot: %w", err)
-	}
-	if _, err := bw.Write(name); err != nil {
-		return fmt.Errorf("graph: encode snapshot: %w", err)
-	}
-	sizes := make([]byte, 0, 24)
-	sizes = binary.LittleEndian.AppendUint64(sizes, uint64(len(g.ids)))
-	sizes = binary.LittleEndian.AppendUint64(sizes, uint64(g.numEdges))
-	sizes = binary.LittleEndian.AppendUint64(sizes, uint64(len(g.outAdj)))
-	if _, err := bw.Write(sizes); err != nil {
-		return fmt.Errorf("graph: encode snapshot: %w", err)
-	}
-
-	if err := writeInt64s(bw, g.ids); err != nil {
-		return err
-	}
-	if err := writeInt64s(bw, g.outOff); err != nil {
-		return err
-	}
-	if err := writeInt32s(bw, g.outAdj); err != nil {
-		return err
-	}
-	if g.weighted {
-		if err := writeFloat64s(bw, g.outW); err != nil {
-			return err
-		}
-	}
-	if g.directed {
-		if err := writeInt64s(bw, g.inOff); err != nil {
-			return err
-		}
-		if err := writeInt32s(bw, g.inAdj); err != nil {
-			return err
-		}
-		if g.weighted {
-			if err := writeFloat64s(bw, g.inW); err != nil {
-				return err
-			}
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("graph: encode snapshot: %w", err)
-	}
-	// The checksum goes to the underlying writer only: it covers all
-	// preceding bytes and is not part of its own input.
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-	if _, err := w.Write(sum[:]); err != nil {
-		return fmt.Errorf("graph: encode snapshot: %w", err)
-	}
-	return nil
-}
-
-// DecodeSnapshot reads a graph from the binary snapshot format, copying
-// every array into fresh heap allocations. Both format versions are
-// accepted: the leading magic + version field is sniffed without
-// consuming input, then the matching decoder runs. Corrupt, truncated or
-// version-mismatched input yields an error wrapping ErrBadSnapshot.
-func DecodeSnapshot(r io.Reader) (*Graph, error) {
-	raw := bufio.NewReaderSize(r, 1<<16)
-	head, err := raw.Peek(12)
-	if err != nil {
-		return nil, badSnapshot("reading magic: %v", err)
-	}
-	if string(head[:8]) != snapshotMagic {
-		return nil, badSnapshot("magic %q", head[:8])
-	}
-	switch version := binary.LittleEndian.Uint32(head[8:12]); version {
-	case snapshotVersion:
-		return decodeSnapshotV1(raw)
-	case snapshotVersion2:
-		return decodeSnapshotV2Stream(raw)
-	default:
-		return nil, badSnapshot("version %d", version)
-	}
-}
-
-// decodeSnapshotV1 reads the v1 stream format from raw, whose magic and
-// version have been sniffed but not consumed.
-func decodeSnapshotV1(raw *bufio.Reader) (*Graph, error) {
-	// The tee sits on the consumer side of the buffer, so the hash covers
-	// exactly the bytes decoded — bufio read-ahead must not feed the
-	// trailing checksum into its own computation.
-	crc := crc32.New(crcTable)
-	br := io.TeeReader(raw, crc)
-
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, badSnapshot("reading magic: %v", err)
-	}
-	var hdr [12]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, badSnapshot("reading header: %v", err)
-	}
-	flags := binary.LittleEndian.Uint32(hdr[4:8])
-	nameLen := binary.LittleEndian.Uint32(hdr[8:12])
-	if nameLen > 1<<20 {
-		return nil, badSnapshot("name length %d", nameLen)
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, badSnapshot("reading name: %v", err)
-	}
-	var sizes [24]byte
-	if _, err := io.ReadFull(br, sizes[:]); err != nil {
-		return nil, badSnapshot("reading sizes: %v", err)
-	}
-	nVerts := binary.LittleEndian.Uint64(sizes[0:8])
-	nEdges := binary.LittleEndian.Uint64(sizes[8:16])
-	arcs := binary.LittleEndian.Uint64(sizes[16:24])
-	if nVerts > math.MaxInt32 || arcs > snapshotMaxElems || nEdges > arcs {
-		return nil, badSnapshot("sizes |V|=%d |E|=%d arcs=%d", nVerts, nEdges, arcs)
-	}
-
-	g := &Graph{
-		name:     string(name),
-		directed: flags&snapFlagDirected != 0,
-		weighted: flags&snapFlagWeighted != 0,
-		numEdges: int64(nEdges),
-	}
-	var err error
-	if g.ids, err = readInt64s(br, int(nVerts)); err != nil {
-		return nil, err
-	}
-	if g.outOff, err = readInt64s(br, int(nVerts)+1); err != nil {
-		return nil, err
-	}
-	if g.outAdj, err = readInt32s(br, int(arcs)); err != nil {
-		return nil, err
-	}
-	if g.weighted {
-		if g.outW, err = readFloat64s(br, int(arcs)); err != nil {
-			return nil, err
-		}
-	}
-	if g.directed {
-		if g.inOff, err = readInt64s(br, int(nVerts)+1); err != nil {
-			return nil, err
-		}
-		if g.inAdj, err = readInt32s(br, int(arcs)); err != nil {
-			return nil, err
-		}
-		if g.weighted {
-			if g.inW, err = readFloat64s(br, int(arcs)); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		g.inOff, g.inAdj, g.inW = g.outOff, g.outAdj, g.outW
-	}
-
-	// The trailing checksum is read from the raw buffered reader so it
-	// does not feed the hash.
-	want := crc.Sum32()
-	var sum [4]byte
-	if _, err := io.ReadFull(raw, sum[:]); err != nil {
-		return nil, badSnapshot("reading checksum: %v", err)
-	}
-	if got := binary.LittleEndian.Uint32(sum[:]); got != want {
-		return nil, badSnapshot("checksum %08x, want %08x", got, want)
-	}
-	if err := g.checkShape(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
 
 // checkShape validates structural invariants a checksum cannot: offsets
 // must be monotonic and in bounds, adjacency indices must name real
@@ -304,17 +100,11 @@ func WriteSnapshotFile(path string, g *Graph) error {
 	})
 }
 
-// WriteSnapshotFileV1 is WriteSnapshotFile for the legacy v1 stream
-// format. It exists for compatibility tests and for producing snapshots
-// older builds can read; new snapshots should use WriteSnapshotFile.
-func WriteSnapshotFileV1(path string, g *Graph) error {
-	return installSnapshot(path, func(f *os.File) error {
-		return EncodeSnapshot(f, g)
-	})
-}
-
-// ReadSnapshotFile reads a snapshot written by WriteSnapshotFile. Errors
-// from corrupt content wrap ErrBadSnapshot; a missing file surfaces as an
+// ReadSnapshotFile reads a snapshot written by WriteSnapshotFile onto the
+// heap. The whole file is read into one 8-aligned buffer, fully verified
+// (header, zero padding, every section CRC, structural shape), and the
+// CSR arrays are sliced over that buffer in place. Errors from corrupt
+// content wrap ErrBadSnapshot; a missing file surfaces as an
 // fs.ErrNotExist error.
 func ReadSnapshotFile(path string) (*Graph, error) {
 	f, err := os.Open(path)
@@ -322,11 +112,159 @@ func ReadSnapshotFile(path string) (*Graph, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return DecodeSnapshot(f)
+	st, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("graph: read snapshot: %w", err)
+	}
+	if st.Size() > math.MaxInt {
+		return nil, badSnapshot("file is %d bytes", st.Size())
+	}
+	data := alignedBytes(int(st.Size()))
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, badSnapshot("reading %d bytes: %v", len(data), err)
+	}
+	return decodeSnapshot(data, data, true)
 }
 
-// Bulk little-endian slice codecs. A shared chunk buffer keeps the
-// conversion allocation-free per call and lets bufio do large writes.
+// alignedBytes returns an n-byte buffer that starts on an 8-byte
+// boundary, so every page-aligned section in it is aligned for its
+// element type.
+func alignedBytes(n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	words := make([]uint64, (n+7)/8)
+	return unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), n)
+}
+
+// decodeSnapshot parses a complete snapshot image. data must start on an
+// 8-byte boundary; the returned Graph's arrays alias it. head holds the
+// same file's leading bytes, at least its header: heap opens pass data
+// itself, the mapped open a copy it read without touching the mapping.
+// The header is always validated, and data must be exactly the size the
+// header declares: with parseV2Header's section bounds, that keeps every
+// slice inside data (for a mapping, no SIGBUS). verify additionally
+// checks the zero padding, every section CRC and the structural shape,
+// which reads the whole payload; mapped opens skip it so their cost
+// stays O(header). On a big-endian host verify must be set: the sections
+// are swapped to host order in place once their CRCs have passed.
+func decodeSnapshot(head, data []byte, verify bool) (*Graph, error) {
+	h, err := parseV2Header(head)
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(data)) != h.fileSize {
+		return nil, badSnapshot("file is %d bytes, header declares %d", len(data), h.fileSize)
+	}
+	if verify {
+		if err := verifySections(data, h); err != nil {
+			return nil, err
+		}
+		if !hostLittleEndian {
+			swapSections(data, h)
+		}
+	}
+	g := &Graph{
+		name:     h.name,
+		directed: h.directed(),
+		weighted: h.weighted(),
+		numEdges: h.numEdges,
+	}
+	g.ids = mapInt64s(data, h.secs[secIDs])
+	g.outOff = mapInt64s(data, h.secs[secOutOff])
+	g.outAdj = mapInt32s(data, h.secs[secOutAdj])
+	g.outW = mapFloat64s(data, h.secs[secOutW])
+	if g.directed {
+		g.inOff = mapInt64s(data, h.secs[secInOff])
+		g.inAdj = mapInt32s(data, h.secs[secInAdj])
+		g.inW = mapFloat64s(data, h.secs[secInW])
+	} else {
+		g.inOff, g.inAdj, g.inW = g.outOff, g.outAdj, g.outW
+	}
+	if verify {
+		if err := g.checkShape(); err != nil {
+			return nil, err
+		}
+	}
+	return g, nil
+}
+
+// verifySections checks that the gaps before every section are zero —
+// the one region no CRC covers, and the determinism contract says a
+// graph has exactly one v2 byte representation — and that every
+// section's CRC matches the header.
+func verifySections(data []byte, h *v2Header) error {
+	pos := h.headerLen()
+	for i, s := range h.secs {
+		if s.size == 0 {
+			continue
+		}
+		if !allZero(data[pos:s.off]) {
+			return badSnapshot("nonzero padding before section %d", i)
+		}
+		if got := crc32.Checksum(data[s.off:s.off+s.size], crcTable); got != s.crc {
+			return badSnapshot("section %d checksum %08x, want %08x", i, got, s.crc)
+		}
+		pos = s.off + s.size
+	}
+	return nil
+}
+
+func allZero(b []byte) bool {
+	for _, x := range b {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// swapSections rewrites every section from the on-disk little-endian
+// order to host order in place.
+func swapSections(data []byte, h *v2Header) {
+	for i, s := range h.secs {
+		b := data[s.off : s.off+s.size]
+		if i == secOutAdj || i == secInAdj {
+			for j := 0; j < len(b); j += 4 {
+				binary.NativeEndian.PutUint32(b[j:], binary.LittleEndian.Uint32(b[j:]))
+			}
+			continue
+		}
+		for j := 0; j < len(b); j += 8 {
+			binary.NativeEndian.PutUint64(b[j:], binary.LittleEndian.Uint64(b[j:]))
+		}
+	}
+}
+
+// The section slicers reinterpret snapshot bytes in place. Safety rests on
+// parseV2Header's invariants plus an 8-aligned data start: offsets are
+// page-aligned (hence aligned for every element type), and off+size lies
+// inside data.
+
+func mapInt64s(data []byte, s v2Section) []int64 {
+	if s.size == 0 {
+		return nil
+	}
+	return unsafe.Slice((*int64)(unsafe.Pointer(&data[s.off])), s.size/8)
+}
+
+func mapInt32s(data []byte, s v2Section) []int32 {
+	if s.size == 0 {
+		return nil
+	}
+	return unsafe.Slice((*int32)(unsafe.Pointer(&data[s.off])), s.size/4)
+}
+
+func mapFloat64s(data []byte, s v2Section) []float64 {
+	if s.size == 0 {
+		return nil
+	}
+	return unsafe.Slice((*float64)(unsafe.Pointer(&data[s.off])), s.size/8)
+}
+
+// Bulk little-endian slice encoders for the section writers. A chunk
+// buffer keeps the conversion allocation-free per element and lets bufio
+// do large writes.
 
 const snapChunk = 8192 // elements per conversion chunk
 
@@ -373,56 +311,4 @@ func writeFloat64s(w io.Writer, a []float64) error {
 		a = a[n:]
 	}
 	return nil
-}
-
-// The readers grow their result incrementally (append, starting from a
-// bounded capacity) rather than allocating len==n up front: a corrupt
-// header that lies about array sizes then fails at the first missing byte
-// instead of forcing a multi-gigabyte allocation first.
-
-const snapInitialCap = 1 << 20 // elements; ~8 MiB worst case
-
-func readInt64s(r io.Reader, n int) ([]int64, error) {
-	out := make([]int64, 0, min(n, snapInitialCap))
-	buf := make([]byte, 8*snapChunk)
-	for len(out) < n {
-		c := min(n-len(out), snapChunk)
-		if _, err := io.ReadFull(r, buf[:8*c]); err != nil {
-			return nil, badSnapshot("reading int64 array: %v", err)
-		}
-		for j := 0; j < c; j++ {
-			out = append(out, int64(binary.LittleEndian.Uint64(buf[8*j:])))
-		}
-	}
-	return out, nil
-}
-
-func readInt32s(r io.Reader, n int) ([]int32, error) {
-	out := make([]int32, 0, min(n, snapInitialCap))
-	buf := make([]byte, 4*snapChunk)
-	for len(out) < n {
-		c := min(n-len(out), snapChunk)
-		if _, err := io.ReadFull(r, buf[:4*c]); err != nil {
-			return nil, badSnapshot("reading int32 array: %v", err)
-		}
-		for j := 0; j < c; j++ {
-			out = append(out, int32(binary.LittleEndian.Uint32(buf[4*j:])))
-		}
-	}
-	return out, nil
-}
-
-func readFloat64s(r io.Reader, n int) ([]float64, error) {
-	out := make([]float64, 0, min(n, snapInitialCap))
-	buf := make([]byte, 8*snapChunk)
-	for len(out) < n {
-		c := min(n-len(out), snapChunk)
-		if _, err := io.ReadFull(r, buf[:8*c]); err != nil {
-			return nil, badSnapshot("reading float64 array: %v", err)
-		}
-		for j := 0; j < c; j++ {
-			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(buf[8*j:])))
-		}
-	}
-	return out, nil
 }

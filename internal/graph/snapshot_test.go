@@ -2,7 +2,9 @@ package graph_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -71,39 +73,92 @@ func assertGraphsEqual(t *testing.T, got, want *graph.Graph) {
 	}
 }
 
+// writeSnapshotBytes writes data as a snapshot file and returns its path.
+func writeSnapshotBytes(t *testing.T, data []byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "g.snap")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// snapshotBytes returns the WriteSnapshotFile encoding of g.
+func snapshotBytes(t *testing.T, g *graph.Graph) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "g.snap")
+	if err := graph.WriteSnapshotFile(path, g); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// assertBadSnapshot requires both readers to reject path with
+// ErrBadSnapshot. mapped=false skips the mapped open, for corruption only
+// the heap open's payload checks can see.
+func assertBadSnapshot(t *testing.T, path, what string, mapped bool) {
+	t.Helper()
+	if _, err := graph.ReadSnapshotFile(path); !errors.Is(err, graph.ErrBadSnapshot) {
+		t.Errorf("read %s: err = %v, want ErrBadSnapshot", what, err)
+	}
+	if !mapped {
+		return
+	}
+	g, err := graph.MapSnapshotFile(path)
+	if errors.Is(err, graph.ErrMapUnsupported) {
+		return
+	}
+	if !errors.Is(err, graph.ErrBadSnapshot) {
+		if g != nil {
+			g.Close()
+		}
+		t.Errorf("map %s: err = %v, want ErrBadSnapshot", what, err)
+	}
+}
+
+// A decoded graph re-encodes to the bytes it was read from: the heap open
+// loses nothing, and the format has one representation per graph.
 func TestSnapshotRoundTrip(t *testing.T) {
 	for _, directed := range []bool{true, false} {
 		for _, weighted := range []bool{true, false} {
-			want := snapshotFixture(t, directed, weighted)
-			var buf bytes.Buffer
-			if err := graph.EncodeSnapshot(&buf, want); err != nil {
-				t.Fatal(err)
-			}
-			got, err := graph.DecodeSnapshot(&buf)
+			want := snapshotBytes(t, snapshotFixture(t, directed, weighted))
+			got, err := graph.ReadSnapshotFile(writeSnapshotBytes(t, want))
 			if err != nil {
-				t.Fatalf("directed=%v weighted=%v: decode: %v", directed, weighted, err)
+				t.Fatalf("directed=%v weighted=%v: read: %v", directed, weighted, err)
 			}
-			assertGraphsEqual(t, got, want)
+			if !bytes.Equal(snapshotBytes(t, got), want) {
+				t.Fatalf("directed=%v weighted=%v: re-encoding differs", directed, weighted)
+			}
 		}
 	}
 }
 
+// A graph with no vertices leaves every section but the one-entry offset
+// table empty; both readers must still agree with the built graph.
 func TestSnapshotRoundTripEmptyGraph(t *testing.T) {
-	b := graph.NewBuilder(false, false)
-	b.AddVertex(42)
-	want, err := b.Build()
+	want, err := graph.NewBuilder(true, true).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := graph.EncodeSnapshot(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := graph.DecodeSnapshot(&buf)
+	path := writeSnapshotBytes(t, snapshotBytes(t, want))
+	got, err := graph.ReadSnapshotFile(path)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("read: %v", err)
 	}
 	assertGraphsEqual(t, got, want)
+	mapped, err := graph.MapSnapshotFile(path)
+	if errors.Is(err, graph.ErrMapUnsupported) {
+		return
+	}
+	if err != nil {
+		t.Fatalf("map: %v", err)
+	}
+	defer mapped.Close()
+	assertGraphsEqual(t, mapped, want)
 }
 
 func TestSnapshotFileRoundTrip(t *testing.T) {
@@ -119,55 +174,65 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	assertGraphsEqual(t, got, want)
 }
 
+// Truncation at every section boundary — at its first byte, one byte in,
+// one byte short of its end — fails both readers, for every
+// directed/weighted combination and so every section table shape.
 func TestSnapshotTruncatedIsBadSnapshot(t *testing.T) {
-	want := snapshotFixture(t, true, true)
-	var buf bytes.Buffer
-	if err := graph.EncodeSnapshot(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	// Cut at a spread of prefixes: inside the magic, the header, the
-	// arrays, and just shy of the checksum.
-	for _, n := range []int{0, 4, 11, 40, len(full) / 2, len(full) - 1} {
-		if _, err := graph.DecodeSnapshot(bytes.NewReader(full[:n])); !errors.Is(err, graph.ErrBadSnapshot) {
-			t.Errorf("truncated at %d: err = %v, want ErrBadSnapshot", n, err)
+	for _, directed := range []bool{true, false} {
+		for _, weighted := range []bool{true, false} {
+			full := snapshotBytes(t, snapshotFixture(t, directed, weighted))
+			// The section table starts at byte 56: 7 rows of
+			// {off u64, len u64, crc u32}.
+			var cuts []int
+			for i := 0; i < 7; i++ {
+				off := int(binary.LittleEndian.Uint64(full[56+20*i:]))
+				size := int(binary.LittleEndian.Uint64(full[64+20*i:]))
+				if size > 0 {
+					cuts = append(cuts, off, off+1, off+size-1)
+				}
+			}
+			for _, n := range cuts {
+				what := fmt.Sprintf("directed=%v weighted=%v truncated at %d", directed, weighted, n)
+				assertBadSnapshot(t, writeSnapshotBytes(t, full[:n]), what, true)
+			}
 		}
 	}
 }
 
+// One flipped bit anywhere in the file — header, padding or payload —
+// fails the heap open.
 func TestSnapshotBitFlipIsBadSnapshot(t *testing.T) {
-	want := snapshotFixture(t, false, true)
-	var buf bytes.Buffer
-	if err := graph.EncodeSnapshot(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	// Flip one bit at a spread of offsets, including the checksum itself.
-	for _, off := range []int{0, 9, 30, len(full) / 3, 2 * len(full) / 3, len(full) - 2} {
+	full := snapshotBytes(t, snapshotFixture(t, false, true))
+	path := filepath.Join(t.TempDir(), "g.snap")
+	for off := 0; off < len(full); off += 131 {
 		mut := append([]byte(nil), full...)
 		mut[off] ^= 0x10
-		if _, err := graph.DecodeSnapshot(bytes.NewReader(mut)); !errors.Is(err, graph.ErrBadSnapshot) {
-			t.Errorf("bit flip at %d: err = %v, want ErrBadSnapshot", off, err)
+		if err := os.WriteFile(path, mut, 0o644); err != nil {
+			t.Fatal(err)
 		}
+		assertBadSnapshot(t, path, fmt.Sprintf("bit flip at %d", off), false)
 	}
 }
 
+// The version field follows the 8-byte magic. Version 1 is the retired
+// stream format: its files are stale cache entries, not readable input.
 func TestSnapshotWrongVersionIsBadSnapshot(t *testing.T) {
-	want := snapshotFixture(t, false, false)
-	var buf bytes.Buffer
-	if err := graph.EncodeSnapshot(&buf, want); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	full[8] = 0xFF // version field follows the 8-byte magic
-	if _, err := graph.DecodeSnapshot(bytes.NewReader(full)); !errors.Is(err, graph.ErrBadSnapshot) {
-		t.Fatalf("err = %v, want ErrBadSnapshot", err)
+	full := snapshotBytes(t, snapshotFixture(t, false, false))
+	for _, version := range []uint32{0, 1, 3, 0xFF} {
+		mut := append([]byte(nil), full...)
+		binary.LittleEndian.PutUint32(mut[8:], version)
+		assertBadSnapshot(t, writeSnapshotBytes(t, mut), fmt.Sprintf("version %d", version), true)
 	}
 }
 
 func TestSnapshotGarbageIsBadSnapshot(t *testing.T) {
-	if _, err := graph.DecodeSnapshot(bytes.NewReader([]byte("not a snapshot at all"))); !errors.Is(err, graph.ErrBadSnapshot) {
-		t.Fatalf("err = %v, want ErrBadSnapshot", err)
+	for _, data := range [][]byte{
+		nil,
+		[]byte("not a snapshot at all"),
+		bytes.Repeat([]byte{0xA5}, 5000),
+		append([]byte("GLYTSNAP"), make([]byte, 4096)...),
+	} {
+		assertBadSnapshot(t, writeSnapshotBytes(t, data), fmt.Sprintf("%d garbage bytes", len(data)), true)
 	}
 }
 

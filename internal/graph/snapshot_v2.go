@@ -11,17 +11,18 @@ import (
 	"path/filepath"
 )
 
-// Snapshot format v2 is the out-of-core sibling of the v1 stream format:
-// every CSR array lives in its own page-aligned section whose file offset,
-// byte length and CRC-32C are declared up front in a fixed-shape header,
-// so a reader can validate the header in O(1) and then either mmap the
-// sections in place (MapSnapshotFile) or stream-decode them into fresh
-// allocations (ReadSnapshotFile's copying fallback). Layout
+// Snapshot format v2 stores every CSR array in its own page-aligned
+// section whose file offset, byte length and CRC-32C are declared up front
+// in a fixed-shape header, so a reader can validate the header in O(1) and
+// then slice the sections in place, over an mmap (MapSnapshotFile) or over
+// a heap copy of the file (ReadSnapshotFile). Version 1, an unaligned
+// stream format, is no longer read: a v1 file fails the version check
+// with ErrBadSnapshot like any other stale snapshot. Layout
 // (little-endian):
 //
 //	magic        [8]byte  "GLYTSNAP"
 //	version      uint32   (2)
-//	flags        uint32   bit 0 directed, bit 1 weighted
+//	flags        uint32   bit 0 directed, bit 1 weighted; other bits zero
 //	nameLen      uint32
 //	reserved     uint32   (zero; keeps the u64 fields 8-aligned)
 //	numVertices  uint64
@@ -39,12 +40,11 @@ import (
 //
 // The header CRC covers the section table, so a corrupt or truncated
 // header fails before any offset is trusted; section offsets and lengths
-// are additionally required to be consistent with the declared counts and
-// to lie inside fileSize, so a map-open can never slice past the mapping
-// (no SIGBUS paths). Section CRCs let the copying decoder — and
-// MapSnapshotFileVerified — check the payload; the plain map-open skips
-// them by design, which is what makes open time independent of graph
-// size.
+// must additionally equal the layout the declared counts imply and the
+// file must be exactly fileSize long, so a map-open can never slice past
+// the mapping (no SIGBUS paths). Section CRCs let ReadSnapshotFile check the payload;
+// the map-open skips them by design, which is what makes open time
+// independent of graph size.
 
 const (
 	snapshotVersion2 = 2
@@ -171,49 +171,51 @@ func (h *v2Header) marshal() []byte {
 	return buf
 }
 
-// parseV2Header validates and parses a complete v2 header (magic through
-// header CRC). Every failure wraps ErrBadSnapshot. On success the header
-// is internally consistent: counts are bounded, section sizes match the
-// counts, offsets are page-aligned, strictly ascending in table order,
-// non-overlapping, and every section lies inside fileSize — the
-// invariants that make the subsequent mmap slicing SIGBUS-free.
-func parseV2Header(hdr []byte) (*v2Header, error) {
-	if len(hdr) < snapV2NameOff+4 {
-		return nil, badSnapshot("v2 header truncated at %d bytes", len(hdr))
+// parseV2Header validates and parses the v2 header (magic through header
+// CRC) at the start of data. Every failure wraps ErrBadSnapshot. On
+// success the header is canonical — no unknown flag bits, a zero reserved
+// word, a section table equal to the layout its counts imply — and
+// therefore internally consistent: counts are bounded, sections are
+// page-aligned, non-overlapping and inside fileSize — the invariants
+// that make the subsequent in-place slicing SIGBUS-free.
+func parseV2Header(data []byte) (*v2Header, error) {
+	want, err := v2HeaderLen(data)
+	if err != nil {
+		return nil, err
 	}
-	if string(hdr[:8]) != snapshotMagic {
-		return nil, badSnapshot("magic %q", hdr[:8])
+	if len(data) < want {
+		return nil, badSnapshot("v2 header truncated at %d bytes, want %d", len(data), want)
 	}
-	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != snapshotVersion2 {
-		return nil, badSnapshot("version %d, want %d", v, snapshotVersion2)
-	}
-	nameLen := binary.LittleEndian.Uint32(hdr[16:20])
-	if nameLen > 1<<20 {
-		return nil, badSnapshot("name length %d", nameLen)
-	}
-	want := snapV2NameOff + int(nameLen) + 4
-	if len(hdr) != want {
-		return nil, badSnapshot("v2 header length %d, want %d", len(hdr), want)
-	}
+	hdr := data[:want]
+	nameLen := want - snapV2NameOff - 4
 	gotCRC := binary.LittleEndian.Uint32(hdr[want-4:])
 	if wantCRC := crc32.Checksum(hdr[:want-4], crcTable); gotCRC != wantCRC {
 		return nil, badSnapshot("header checksum %08x, want %08x", gotCRC, wantCRC)
 	}
+	// A graph has exactly one v2 byte representation, so bits and words
+	// the writer always zeroes must be zero.
+	flags := binary.LittleEndian.Uint32(hdr[12:16])
+	if flags&^(snapFlagDirected|snapFlagWeighted) != 0 {
+		return nil, badSnapshot("unknown flag bits %#x", flags)
+	}
+	if r := binary.LittleEndian.Uint32(hdr[20:24]); r != 0 {
+		return nil, badSnapshot("reserved word %d, want 0", r)
+	}
 
 	h := &v2Header{
-		flags: binary.LittleEndian.Uint32(hdr[12:16]),
-		name:  string(hdr[snapV2NameOff : snapV2NameOff+int(nameLen)]),
+		flags: flags,
+		name:  string(hdr[snapV2NameOff : snapV2NameOff+nameLen]),
 	}
 	u64 := func(off int) (int64, bool) {
 		v := binary.LittleEndian.Uint64(hdr[off : off+8])
 		return int64(v), v < 1<<62
 	}
-	var ok [4]bool
+	var ok [3]bool
 	h.nVerts, ok[0] = u64(24)
 	h.numEdges, ok[1] = u64(32)
 	h.arcs, ok[2] = u64(40)
-	h.fileSize, ok[3] = u64(48)
-	if !ok[0] || !ok[1] || !ok[2] || !ok[3] {
+	h.fileSize = int64(binary.LittleEndian.Uint64(hdr[48:56]))
+	if !ok[0] || !ok[1] || !ok[2] {
 		return nil, badSnapshot("v2 header counts out of range")
 	}
 	if h.nVerts > math.MaxInt32 || h.arcs > snapshotMaxElems || h.numEdges > h.arcs {
@@ -227,45 +229,51 @@ func parseV2Header(hdr []byte) (*v2Header, error) {
 		return nil, badSnapshot("undirected arcs=%d != 2x|E|=%d", h.arcs, h.numEdges)
 	}
 
-	sizes := h.sectionSizes()
-	prevEnd := h.headerLen()
-	maxEnd := prevEnd
-	for i := 0; i < snapV2SectionCount; i++ {
-		off, okOff := u64(snapV2FixedBytes + 20*i)
-		size, okSize := u64(snapV2FixedBytes + 20*i + 8)
-		crc := binary.LittleEndian.Uint32(hdr[snapV2FixedBytes+20*i+16 : snapV2FixedBytes+20*i+20])
-		if !okOff || !okSize {
-			return nil, badSnapshot("section %d out of range", i)
-		}
-		if size != sizes[i] {
-			return nil, badSnapshot("section %d length %d, want %d", i, size, sizes[i])
-		}
-		if size == 0 {
-			if off != 0 || crc != 0 {
-				return nil, badSnapshot("empty section %d has off=%d crc=%08x", i, off, crc)
-			}
-			h.secs[i] = v2Section{}
-			continue
-		}
-		if off%snapPageSize != 0 {
-			return nil, badSnapshot("section %d offset %d not page-aligned", i, off)
-		}
-		if off < prevEnd {
-			return nil, badSnapshot("section %d offset %d overlaps previous end %d", i, off, prevEnd)
-		}
-		if off+size > h.fileSize {
-			return nil, badSnapshot("section %d [%d, %d) beyond file size %d", i, off, off+size, h.fileSize)
-		}
-		h.secs[i] = v2Section{off: off, size: size, crc: crc}
-		prevEnd = off + size
-		if prevEnd > maxEnd {
-			maxEnd = prevEnd
-		}
+	// The layout is a pure function of the name, counts and flags, so the
+	// section table must match it exactly. That makes every section
+	// page-aligned, ascending, non-overlapping and inside fileSize by
+	// construction, and leaves a graph one byte representation.
+	canon := &v2Header{flags: h.flags, name: h.name, nVerts: h.nVerts, numEdges: h.numEdges, arcs: h.arcs}
+	canon.layout()
+	if h.fileSize != canon.fileSize {
+		return nil, badSnapshot("file size %d, layout ends at %d", h.fileSize, canon.fileSize)
 	}
-	if h.fileSize != maxEnd {
-		return nil, badSnapshot("file size %d, sections end at %d", h.fileSize, maxEnd)
+	for i := range h.secs {
+		row := hdr[snapV2FixedBytes+20*i:]
+		s := v2Section{
+			off:  int64(binary.LittleEndian.Uint64(row[0:8])),
+			size: int64(binary.LittleEndian.Uint64(row[8:16])),
+			crc:  binary.LittleEndian.Uint32(row[16:20]),
+		}
+		if want := canon.secs[i]; s.off != want.off || s.size != want.size {
+			return nil, badSnapshot("section %d at [%d, +%d), layout puts it at [%d, +%d)", i, s.off, s.size, want.off, want.size)
+		}
+		if s.size == 0 && s.crc != 0 {
+			return nil, badSnapshot("empty section %d has crc %08x", i, s.crc)
+		}
+		h.secs[i] = s
 	}
 	return h, nil
+}
+
+// v2HeaderLen checks the fields at the start of b that locate the end of
+// the header — magic, version, name length — and returns the header's
+// byte length. b may be shorter than the header it declares.
+func v2HeaderLen(b []byte) (int, error) {
+	if len(b) < snapV2NameOff+4 {
+		return 0, badSnapshot("v2 header truncated at %d bytes", len(b))
+	}
+	if string(b[:8]) != snapshotMagic {
+		return 0, badSnapshot("magic %q", b[:8])
+	}
+	if v := binary.LittleEndian.Uint32(b[8:12]); v != snapshotVersion2 {
+		return 0, badSnapshot("version %d, want %d", v, snapshotVersion2)
+	}
+	nameLen := binary.LittleEndian.Uint32(b[16:20])
+	if nameLen > 1<<20 {
+		return 0, badSnapshot("name length %d", nameLen)
+	}
+	return snapV2NameOff + int(nameLen) + 4, nil
 }
 
 // headerFromGraph derives the v2 header (with layout) for a graph.
@@ -412,149 +420,4 @@ func installSnapshot(path string, build func(*os.File) error) error {
 		return fmt.Errorf("graph: install snapshot: %w", err)
 	}
 	return nil
-}
-
-// decodeSnapshotV2Stream is the copying v2 decoder behind
-// DecodeSnapshot/ReadSnapshotFile: it streams the sections into fresh
-// heap allocations, verifying the header CRC, every section CRC and the
-// structural shape — the full-trust path v1 always had, available for v2
-// files on any platform (mmap or not).
-func decodeSnapshotV2Stream(raw *bufio.Reader) (*Graph, error) {
-	var fixed [snapV2NameOff]byte
-	if _, err := io.ReadFull(raw, fixed[:]); err != nil {
-		return nil, badSnapshot("reading v2 header: %v", err)
-	}
-	nameLen := binary.LittleEndian.Uint32(fixed[16:20])
-	if nameLen > 1<<20 {
-		return nil, badSnapshot("name length %d", nameLen)
-	}
-	hdr := make([]byte, snapV2NameOff+int(nameLen)+4)
-	copy(hdr, fixed[:])
-	if _, err := io.ReadFull(raw, hdr[snapV2NameOff:]); err != nil {
-		return nil, badSnapshot("reading v2 header: %v", err)
-	}
-	h, err := parseV2Header(hdr)
-	if err != nil {
-		return nil, err
-	}
-
-	g := &Graph{
-		name:     h.name,
-		directed: h.directed(),
-		weighted: h.weighted(),
-		numEdges: h.numEdges,
-	}
-	pos := h.headerLen()
-	section := func(i int) (*crcReader, error) {
-		// Alignment padding must be zero: it is the one region no section
-		// CRC covers, and the determinism contract says a graph has
-		// exactly one v2 byte representation.
-		for pad := h.secs[i].off - pos; pad > 0; {
-			var buf [snapPageSize]byte
-			n := min(pad, int64(len(buf)))
-			if _, err := io.ReadFull(raw, buf[:n]); err != nil {
-				return nil, badSnapshot("section %d padding: %v", i, err)
-			}
-			if !allZero(buf[:n]) {
-				return nil, badSnapshot("nonzero padding before section %d", i)
-			}
-			pad -= n
-		}
-		pos = h.secs[i].off + h.secs[i].size
-		return &crcReader{r: raw}, nil
-	}
-	finish := func(i int, cr *crcReader) error {
-		if cr.crc != h.secs[i].crc {
-			return badSnapshot("section %d checksum %08x, want %08x", i, cr.crc, h.secs[i].crc)
-		}
-		return nil
-	}
-	readI64 := func(i int, n int64) ([]int64, error) {
-		cr, err := section(i)
-		if err != nil {
-			return nil, err
-		}
-		a, err := readInt64s(cr, int(n))
-		if err != nil {
-			return nil, err
-		}
-		return a, finish(i, cr)
-	}
-	readI32 := func(i int, n int64) ([]int32, error) {
-		cr, err := section(i)
-		if err != nil {
-			return nil, err
-		}
-		a, err := readInt32s(cr, int(n))
-		if err != nil {
-			return nil, err
-		}
-		return a, finish(i, cr)
-	}
-	readF64 := func(i int, n int64) ([]float64, error) {
-		cr, err := section(i)
-		if err != nil {
-			return nil, err
-		}
-		a, err := readFloat64s(cr, int(n))
-		if err != nil {
-			return nil, err
-		}
-		return a, finish(i, cr)
-	}
-
-	if g.ids, err = readI64(secIDs, h.nVerts); err != nil {
-		return nil, err
-	}
-	if g.outOff, err = readI64(secOutOff, h.nVerts+1); err != nil {
-		return nil, err
-	}
-	if g.outAdj, err = readI32(secOutAdj, h.arcs); err != nil {
-		return nil, err
-	}
-	if g.weighted {
-		if g.outW, err = readF64(secOutW, h.arcs); err != nil {
-			return nil, err
-		}
-	}
-	if g.directed {
-		if g.inOff, err = readI64(secInOff, h.nVerts+1); err != nil {
-			return nil, err
-		}
-		if g.inAdj, err = readI32(secInAdj, h.arcs); err != nil {
-			return nil, err
-		}
-		if g.weighted {
-			if g.inW, err = readF64(secInW, h.arcs); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		g.inOff, g.inAdj, g.inW = g.outOff, g.outAdj, g.outW
-	}
-	if err := g.checkShape(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// crcReader computes a running CRC-32C over everything read through it.
-type crcReader struct {
-	r   io.Reader
-	crc uint32
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.crc = crc32.Update(c.crc, crcTable, p[:n])
-	return n, err
-}
-
-func allZero(b []byte) bool {
-	for _, x := range b {
-		if x != 0 {
-			return false
-		}
-	}
-	return true
 }

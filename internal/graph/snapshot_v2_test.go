@@ -2,7 +2,9 @@ package graph_test
 
 import (
 	"bytes"
-	"errors"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -37,35 +39,6 @@ func TestSnapshotV2FileRoundTrip(t *testing.T) {
 	}
 }
 
-// Both format versions must load through the same entry point: v2 is what
-// WriteSnapshotFile produces now, v1 is what older builds left in cache
-// directories.
-func TestSnapshotBothVersionsReadable(t *testing.T) {
-	want := snapshotFixture(t, true, true)
-	dir := t.TempDir()
-
-	v1 := filepath.Join(dir, "v1.snap")
-	if err := graph.WriteSnapshotFileV1(v1, want); err != nil {
-		t.Fatal(err)
-	}
-	v2 := filepath.Join(dir, "v2.snap")
-	if err := graph.WriteSnapshotFile(v2, want); err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range []string{v1, v2} {
-		got, err := graph.ReadSnapshotFile(path)
-		if err != nil {
-			t.Fatalf("%s: %v", filepath.Base(path), err)
-		}
-		assertGraphsEqual(t, got, want)
-	}
-	// v1 files are not mappable; the caller's contract is to fall back to
-	// the copying decoder on any MapSnapshotFile error.
-	if _, err := graph.MapSnapshotFile(v1); !errors.Is(err, graph.ErrBadSnapshot) {
-		t.Fatalf("MapSnapshotFile(v1): err = %v, want ErrBadSnapshot", err)
-	}
-}
-
 func TestSnapshotV2EmptyGraph(t *testing.T) {
 	b := graph.NewBuilder(false, false)
 	b.AddVertex(42)
@@ -85,81 +58,70 @@ func TestSnapshotV2EmptyGraph(t *testing.T) {
 }
 
 // Truncations anywhere — mid-header, mid-section, one byte short — must
-// fail cleanly with ErrBadSnapshot from both the copying decoder and the
-// map-open path. MapSnapshotFile in particular must reject the file
-// during header validation, before any mmap slice escapes: this is the
-// no-SIGBUS guarantee.
+// fail cleanly with ErrBadSnapshot from both readers. MapSnapshotFile in
+// particular must reject the file during header validation, before any
+// mmap slice escapes: this is the no-SIGBUS guarantee.
 func TestSnapshotV2TruncatedIsBadSnapshot(t *testing.T) {
-	path, _ := writeV2Fixture(t, true, true)
-	full, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
+	full := snapshotBytes(t, snapshotFixture(t, true, true))
 	for _, n := range []int{0, 4, 11, 40, 150, 4096, len(full) / 2, len(full) - 1} {
 		if n > len(full) {
 			continue
 		}
-		trunc := filepath.Join(dir, "trunc.snap")
-		if err := os.WriteFile(trunc, full[:n], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := graph.ReadSnapshotFile(trunc); !errors.Is(err, graph.ErrBadSnapshot) {
-			t.Errorf("read truncated at %d: err = %v, want ErrBadSnapshot", n, err)
-		}
-		if g, err := graph.MapSnapshotFile(trunc); !errors.Is(err, graph.ErrBadSnapshot) {
-			if g != nil {
-				g.Close()
-			}
-			t.Errorf("map truncated at %d: err = %v, want ErrBadSnapshot", n, err)
-		}
+		assertBadSnapshot(t, writeSnapshotBytes(t, full[:n]), fmt.Sprintf("truncated at %d", n), true)
 	}
 }
 
-// Bit flips in the header fail both open paths; flips in section payloads
-// fail the copying decoder and MapSnapshotFileVerified (the plain
-// map-open intentionally skips payload CRCs).
+// Bit flips in the header fail both readers; flips in section payloads
+// fail the heap open (the mapped open intentionally skips payload CRCs).
+// A header whose CRC was recomputed over a stray flag bit or a nonzero
+// reserved word is not the graph's one byte representation either, and
+// fails both readers.
 func TestSnapshotV2CorruptIsBadSnapshot(t *testing.T) {
-	path, _ := writeV2Fixture(t, false, true)
-	full, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
+	full := snapshotBytes(t, snapshotFixture(t, false, true))
 	mutate := func(off int) string {
 		mut := append([]byte(nil), full...)
 		mut[off] ^= 0x10
-		p := filepath.Join(dir, "mut.snap")
-		if err := os.WriteFile(p, mut, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
+		return writeSnapshotBytes(t, mut)
 	}
 	// Header offsets: magic, version, flags, counts, section table.
 	for _, off := range []int{0, 9, 13, 25, 60, 100, 190} {
-		p := mutate(off)
-		if _, err := graph.ReadSnapshotFile(p); !errors.Is(err, graph.ErrBadSnapshot) {
-			t.Errorf("read with header flip at %d: err = %v, want ErrBadSnapshot", off, err)
-		}
-		if g, err := graph.MapSnapshotFile(p); !errors.Is(err, graph.ErrBadSnapshot) {
-			if g != nil {
-				g.Close()
-			}
-			t.Errorf("map with header flip at %d: err = %v, want ErrBadSnapshot", off, err)
-		}
+		assertBadSnapshot(t, mutate(off), fmt.Sprintf("header flip at %d", off), true)
 	}
 	// Payload offsets: inside the page-aligned sections.
 	for _, off := range []int{4096, len(full)/2 | 1, len(full) - 2} {
-		p := mutate(off)
-		if _, err := graph.ReadSnapshotFile(p); !errors.Is(err, graph.ErrBadSnapshot) {
-			t.Errorf("read with payload flip at %d: err = %v, want ErrBadSnapshot", off, err)
-		}
-		if g, err := graph.MapSnapshotFileVerified(p); !errors.Is(err, graph.ErrBadSnapshot) {
-			if g != nil {
-				g.Close()
-			}
-			t.Errorf("verified map with payload flip at %d: err = %v, want ErrBadSnapshot", off, err)
-		}
+		assertBadSnapshot(t, mutate(off), fmt.Sprintf("payload flip at %d", off), false)
+	}
+	// Non-canonical files with a valid header CRC: a stray flag bit, a
+	// nonzero reserved word, the last section one zero page later than
+	// the layout puts it, a trailing byte. None is the graph's one byte
+	// representation. The name is the header's last field, so the header
+	// CRC sits just past it.
+	crcOff := 196 + int(binary.LittleEndian.Uint32(full[16:20]))
+	reCRC := func(mut []byte) []byte {
+		binary.LittleEndian.PutUint32(mut[crcOff:], crc32.Checksum(mut[:crcOff], crc32.MakeTable(crc32.Castagnoli)))
+		return mut
+	}
+	xor32 := func(off int, bits uint32) []byte {
+		mut := append([]byte(nil), full...)
+		binary.LittleEndian.PutUint32(mut[off:], binary.LittleEndian.Uint32(mut[off:])^bits)
+		return reCRC(mut)
+	}
+	// Undirected and weighted: section 3 (outW) is the last one.
+	lastOff := int(binary.LittleEndian.Uint64(full[56+20*3:]))
+	late := append(append(append([]byte(nil), full[:lastOff]...), make([]byte, 4096)...), full[lastOff:]...)
+	binary.LittleEndian.PutUint64(late[56+20*3:], uint64(lastOff+4096))
+	binary.LittleEndian.PutUint64(late[48:], uint64(len(late)))
+	for _, c := range []struct {
+		what string
+		data []byte
+	}{
+		{"stray flag bit 2", xor32(12, 1<<2)},
+		{"stray flag bit 31", xor32(12, 1<<31)},
+		{"reserved=1", xor32(20, 1)},
+		{"last section a page late", reCRC(late)},
+		{"a trailing byte", append(append([]byte(nil), full...), 0)},
+	} {
+		assertBadSnapshot(t, writeSnapshotBytes(t, c.data), c.what, true)
 	}
 }
 

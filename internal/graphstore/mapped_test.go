@@ -1,7 +1,11 @@
 package graphstore_test
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"os"
 	"testing"
 
 	"graphalytics/internal/graph"
@@ -51,27 +55,99 @@ func TestMapSnapshotsResidency(t *testing.T) {
 	}
 }
 
-// v1 snapshots stay readable in mmap mode via the copying fallback.
-func TestMapSnapshotsV1Fallback(t *testing.T) {
-	dir := t.TempDir()
-	g := testGraph(t, 2)
-	s := graphstore.New(graphstore.Options{Dir: dir, MapSnapshots: true})
-	if err := graph.WriteSnapshotFileV1(s.SnapshotPath("k@g1"), g); err != nil {
+// writeV1Snapshot writes an undirected, unweighted g in the retired v1
+// stream format (magic, version 1, flags, name, counts, raw
+// little-endian arrays, trailing CRC-32C), as older builds left it in
+// cache directories.
+func writeV1Snapshot(t *testing.T, path string, g *graph.Graph) {
+	t.Helper()
+	if g.Directed() || g.Weighted() {
+		t.Fatal("writeV1Snapshot encodes undirected unweighted graphs only")
+	}
+	n := int32(g.NumVertices())
+	var off []uint64
+	var adj []int32
+	for v := int32(0); v < n; v++ {
+		off = append(off, uint64(len(adj)))
+		adj = append(adj, g.OutNeighbors(v)...)
+	}
+	off = append(off, uint64(len(adj)))
+
+	buf := []byte("GLYTSNAP")
+	buf = binary.LittleEndian.AppendUint32(buf, 1) // version
+	buf = binary.LittleEndian.AppendUint32(buf, 0) // flags
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(g.Name())))
+	buf = append(buf, g.Name()...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(g.NumEdges()))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(adj)))
+	for _, id := range g.IDs() {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(id))
+	}
+	for _, o := range off {
+		buf = binary.LittleEndian.AppendUint64(buf, o)
+	}
+	for _, u := range adj {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(u))
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.Get("k@g1", func() (*graph.Graph, error) {
-		t.Fatal("readable v1 snapshot must not rebuild")
-		return nil, nil
-	})
+}
+
+// A v1 snapshot left by an older build is a stale cache entry in mmap
+// mode too: it is reported corrupt, rebuilt, rewritten as v2, and the
+// next load maps the rewritten file.
+func TestMapSnapshotsUpgradesV1(t *testing.T) {
+	dir := t.TempDir()
+	g := testGraph(t, 2)
+	var corrupt int
+	s := graphstore.New(graphstore.Options{Dir: dir, MapSnapshots: true, OnEvent: func(e graphstore.Event) {
+		if e.Type == graphstore.EventSnapshotCorrupt {
+			corrupt++
+			if !errors.Is(e.Err, graph.ErrBadSnapshot) {
+				t.Errorf("corrupt event err = %v, want ErrBadSnapshot", e.Err)
+			}
+		}
+	}})
+	path := s.SnapshotPath("k@g1")
+	writeV1Snapshot(t, path, g)
+
+	var builds int
+	build := func() (*graph.Graph, error) { builds++; return testGraph(t, 2), nil }
+	r, err := s.Get("k@g1", build)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Source != graphstore.SourceSnapshot || r.Graph.Mapped() {
-		t.Fatalf("source=%v mapped=%v, want snapshot-sourced heap graph", r.Source, r.Graph.Mapped())
+	if r.Source != graphstore.SourceBuilt || builds != 1 || corrupt != 1 {
+		t.Fatalf("source=%v builds=%d corrupt events=%d, want one rebuild after one corrupt event", r.Source, builds, corrupt)
 	}
-	if s.MappedBytes() != 0 || s.HeapBytes() <= 0 {
-		t.Fatalf("heap=%d mapped=%d, want heap-charged residency", s.HeapBytes(), s.MappedBytes())
+	head, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if v := binary.LittleEndian.Uint32(head[8:12]); v != 2 {
+		t.Fatalf("snapshot on disk is version %d after the rebuild, want 2", v)
+	}
+
+	if !s.Evict("k@g1") {
+		t.Fatal("Evict must drop the resident entry")
+	}
+	r2, err := s.Get("k@g1", build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r2.Source != graphstore.SourceSnapshot || builds != 1 {
+		t.Fatalf("source=%v builds=%d, want the rewritten snapshot", r2.Source, builds)
+	}
+	if !r2.Graph.Mapped() {
+		t.Fatal("the rewritten v2 snapshot must be served mapped")
+	}
+	if r2.Graph.NumVertices() != g.NumVertices() || r2.Graph.NumEdges() != g.NumEdges() {
+		t.Fatal("mapped graph differs from the built graph")
+	}
+	r2.Graph.Close()
 }
 
 // Evicting a mapped entry releases the store's reference; the graph a

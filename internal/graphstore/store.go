@@ -83,8 +83,8 @@ type Options struct {
 	// MapSnapshots serves v2 snapshots as mmap-backed graphs
 	// (graph.MapSnapshotFile) instead of copying them onto the heap: open
 	// cost is O(header) and resident cost is page-cache pages the OS can
-	// reclaim. Unmappable snapshots (v1 files, platforms without mmap)
-	// fall back to the copying decoder transparently. Snapshot files in
+	// reclaim. On platforms that cannot map (no mmap, big-endian) the
+	// store reads snapshots onto the heap instead. Snapshot files in
 	// Dir are written by this store with fsync+rename, which is why the
 	// mmap fast path may skip payload checksums.
 	MapSnapshots bool
@@ -317,14 +317,14 @@ func (s *Store) materializeStreamed(key string, buildTo func(path string) error)
 	return g, SourceBuilt, nil
 }
 
-// openSnapshot opens a snapshot file, mmap-backed when configured. Any
-// map failure other than a missing file — a v1 snapshot, a platform
-// without mmap, a corrupt header — falls through to the copying decoder,
-// whose verdict (including ErrBadSnapshot for true corruption) is final.
+// openSnapshot opens a snapshot file, mmap-backed when configured. Only a
+// platform that cannot map falls back to the heap reader: both readers
+// share one header parser, so any other map failure — a stale v1 file, a
+// corrupt header — is final and the caller rebuilds.
 func (s *Store) openSnapshot(path string) (*graph.Graph, error) {
 	if s.opts.MapSnapshots {
 		g, err := graph.MapSnapshotFile(path)
-		if err == nil || errors.Is(err, fs.ErrNotExist) {
+		if !errors.Is(err, graph.ErrMapUnsupported) {
 			return g, err
 		}
 	}

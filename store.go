@@ -94,8 +94,9 @@ func LoadGraphSnapshot(path string) (*Graph, error) { return graph.ReadSnapshotF
 // header is validated eagerly, the CSR arrays are served zero-copy from
 // the page cache, and open cost is O(header) regardless of graph size.
 // Release the graph with Close when done. Fails with ErrBadSnapshot on
-// v1 files and ErrMapUnsupported off Linux/macOS — fall back to
-// LoadGraphSnapshot.
+// any file LoadGraphSnapshot would also reject, and with
+// ErrMapUnsupported off Linux/macOS or on big-endian hosts — fall back
+// to LoadGraphSnapshot there.
 func MapGraphSnapshot(path string) (*Graph, error) { return graph.MapSnapshotFile(path) }
 
 // ErrMapUnsupported reports that snapshot mapping is unavailable on this
