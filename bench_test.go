@@ -659,6 +659,35 @@ func BenchmarkEngineExecute(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineLCC measures steady-state LCC Execute on the largest
+// stand-in for every engine that supports it, single machine, with the
+// upload shared across iterations so the pooled mark arrays are warm.
+// Every engine but dataflow counts wedges with the shared mark-array step
+// (algorithms.LCCMarks), so CI bounds gas, spmv-s and spmv-d against
+// native's ns/op from the same run: a reintroduced sorted-merge
+// intersection, Θ(d²) per hub, puts them at about 4x.
+func BenchmarkEngineLCC(b *testing.B) {
+	g, params := loadBench(b, largestStandIn)
+	for _, p := range platform.All() {
+		if !p.Supports(algorithms.LCC) {
+			continue
+		}
+		up, err := p.Upload(b.Context(), g, platform.RunConfig{Threads: benchThreads, Machines: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(p.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.Execute(context.Background(), up, algorithms.LCC, params); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		up.Free()
+	}
+}
+
 func BenchmarkRefKernelBFS(b *testing.B) {
 	g, params := loadBench(b, largestStandIn)
 	src, ok := g.Index(params.Source)

@@ -256,13 +256,14 @@ func ParCDLP(g *graph.Graph, iterations int, workers int) []int64 {
 }
 
 // ParLCC is the parallel counterpart of RefLCC: local clustering
-// coefficients over vertex chunks with chunk-private mark buffers.
+// coefficients over vertex chunks with one mark array per worker.
 func ParLCC(g *graph.Graph, workers int) []float64 {
 	n := g.NumVertices()
 	p := par.Resolve(workers, n+int(g.NumEdges()))
 	out := make([]float64, n)
-	par.Chunks(n, p, func(_, lo, hi int) {
-		LCCRange(g, out, lo, hi)
+	marks := ResetLCCMarks(nil, p, n)
+	par.Chunks(n, p, func(w, lo, hi int) {
+		LCCRange(g, marks[w], out, lo, hi)
 	})
 	return out
 }

@@ -355,15 +355,63 @@ func SSSPRelaxRange(g *graph.Graph, dist []uint64, frontier []int32, claimed []u
 	return out
 }
 
-// LCCRange computes local clustering coefficients for v in [lo, hi) into
-// out, with chunk-private mark and neighborhood buffers. The neighborhood
-// is the union of in- and out-neighbors; each direction between two
-// neighbors counts separately (see RefLCC).
-func LCCRange(g *graph.Graph, out []float64, lo, hi int) {
-	mark := make([]int32, g.NumVertices())
-	for i := range mark {
-		mark[i] = -1
+// LCCMarks is the mark array of the one LCC counting step shared by the
+// parallel reference and the native, gas, spmv and pregel engines (RefLCC,
+// the sequential oracle the tests compare against, keeps its own loop).
+// Entry u holds the vertex whose neighborhood last stamped u, or -1. A
+// vertex v's closed wedges are counted by stamping N(v) once (Stamp) and
+// then, for every neighbor u, counting the entries of u's out-list that
+// carry v's stamp (Count): O(deg(u)) per neighbor, where a sorted merge of
+// the two lists pays O(deg(u) + |N(v)|), which is Θ(|N(v)|²) on a hub.
+// Stamps are vertex indices and every vertex is stamped once per job, so
+// a mark array needs resetting only when a job checks it out
+// (ResetLCCMarks); after that no stale stamp can match.
+type LCCMarks []int32
+
+// ResetLCCMarks returns one mark array per worker, each with n unstamped
+// entries, reusing the arrays and capacity of ms (typically an engine's
+// pooled scratch).
+func ResetLCCMarks(ms []LCCMarks, workers, n int) []LCCMarks {
+	ms = mplane.Grow(ms, workers)
+	for w := range ms {
+		ms[w] = mplane.Grow(ms[w], n)
+		for i := range ms[w] {
+			ms[w][i] = -1
+		}
 	}
+	return ms
+}
+
+// Stamp marks every vertex of hood, the neighborhood of v, with v.
+//
+//graphalint:noalloc LCC stamp: runs once per vertex
+func (m LCCMarks) Stamp(hood []int32, v int32) {
+	for _, u := range hood {
+		m[u] = v
+	}
+}
+
+// Count returns how many entries of list — the out-list of one neighbor
+// of v — carry v's stamp and are not v: the arcs from that neighbor into
+// N(v). It needs no ordering of list.
+//
+//graphalint:noalloc LCC inner loop: runs once per neighbor of every vertex
+func (m LCCMarks) Count(list []int32, v int32) int {
+	arcs := 0
+	for _, w := range list {
+		if w != v && m[w] == v {
+			arcs++
+		}
+	}
+	return arcs
+}
+
+// LCCRange computes local clustering coefficients for v in [lo, hi) into
+// out, through the worker's mark array (see LCCMarks) and a chunk-private
+// neighborhood buffer. The neighborhood is the union of in- and
+// out-neighbors; each direction between two neighbors counts separately
+// (see RefLCC).
+func LCCRange(g *graph.Graph, marks LCCMarks, out []float64, lo, hi int) {
 	var hood []int32
 	for v := lo; v < hi; v++ {
 		hood = neighborhood(g, int32(v), hood[:0])
@@ -372,16 +420,10 @@ func LCCRange(g *graph.Graph, out []float64, lo, hi int) {
 			out[v] = 0
 			continue
 		}
-		for _, u := range hood {
-			mark[u] = int32(v)
-		}
+		marks.Stamp(hood, int32(v))
 		arcs := 0
 		for _, u := range hood {
-			for _, w := range g.OutNeighbors(u) {
-				if w != int32(v) && mark[w] == int32(v) {
-					arcs++
-				}
-			}
+			arcs += marks.Count(g.OutNeighbors(u), int32(v))
 		}
 		out[v] = float64(arcs) / (float64(d) * float64(d-1))
 	}

@@ -48,7 +48,8 @@ func (m *mapping) release() {
 // CSR arrays are sliced directly over the mapping. Open cost is O(header)
 // no matter how large the graph is, and pages fault in through the page
 // cache on first touch. Section payload CRCs are *not* verified on this
-// path — use ReadSnapshotFile when the file is untrusted.
+// path — run VerifySnapshotFile first, or use ReadSnapshotFile, when the
+// file is untrusted.
 //
 // The returned Graph must eventually be released with Close (a finalizer
 // backstops forgotten handles). Platforms without mmap or with a
@@ -71,15 +72,8 @@ func MapSnapshotFile(path string) (*Graph, error) {
 	// mapped page faults in its whole page-cache folio (2 MB on ext4 with
 	// large folios), so parsing in place would grow RSS by up to the file
 	// size on every open.
-	head, err := readAtMost(f, snapV2NameOff+4, st.Size())
+	head, err := readHeader(f, st.Size())
 	if err != nil {
-		return nil, err
-	}
-	n, err := v2HeaderLen(head)
-	if err != nil {
-		return nil, err
-	}
-	if head, err = readAtMost(f, int64(n), st.Size()); err != nil {
 		return nil, err
 	}
 	data, err := mmapFile(f, st.Size())
@@ -96,6 +90,22 @@ func MapSnapshotFile(path string) (*Graph, error) {
 	g.mapped = m
 	runtime.SetFinalizer(g, (*Graph).finalizeMapping)
 	return g, nil
+}
+
+// readHeader reads the v2 header bytes at the start of f, a file of size
+// bytes, with pread: first the fixed part that declares the header's
+// length, then the whole header. A file shorter than its header yields
+// the short read, which the header parser rejects.
+func readHeader(f *os.File, size int64) ([]byte, error) {
+	head, err := readAtMost(f, snapV2NameOff+4, size)
+	if err != nil {
+		return nil, err
+	}
+	n, err := v2HeaderLen(head)
+	if err != nil {
+		return nil, err
+	}
+	return readAtMost(f, int64(n), size)
 }
 
 // readAtMost reads the first min(n, size) bytes of f.

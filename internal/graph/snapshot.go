@@ -157,7 +157,8 @@ func decodeSnapshot(head, data []byte, verify bool) (*Graph, error) {
 		return nil, badSnapshot("file is %d bytes, header declares %d", len(data), h.fileSize)
 	}
 	if verify {
-		if err := verifySections(data, h); err != nil {
+		inPlace := func(off, n int64) ([]byte, error) { return data[off : off+n], nil }
+		if err := verifySections(h, inPlace); err != nil {
 			return nil, err
 		}
 		if !hostLittleEndian {
@@ -192,22 +193,84 @@ func decodeSnapshot(head, data []byte, verify bool) (*Graph, error) {
 // verifySections checks that the gaps before every section are zero —
 // the one region no CRC covers, and the determinism contract says a
 // graph has exactly one v2 byte representation — and that every
-// section's CRC matches the header.
-func verifySections(data []byte, h *v2Header) error {
+// section's CRC matches the header. read returns the file's bytes
+// starting at off, at most n of them and at least one: the heap reader
+// hands out its buffer in place, VerifySnapshotFile reads chunks with
+// pread.
+func verifySections(h *v2Header, read func(off, n int64) ([]byte, error)) error {
 	pos := h.headerLen()
 	for i, s := range h.secs {
 		if s.size == 0 {
 			continue
 		}
-		if !allZero(data[pos:s.off]) {
-			return badSnapshot("nonzero padding before section %d", i)
+		for pos < s.off {
+			b, err := read(pos, s.off-pos)
+			if err != nil {
+				return err
+			}
+			if !allZero(b) {
+				return badSnapshot("nonzero padding before section %d", i)
+			}
+			pos += int64(len(b))
 		}
-		if got := crc32.Checksum(data[s.off:s.off+s.size], crcTable); got != s.crc {
-			return badSnapshot("section %d checksum %08x, want %08x", i, got, s.crc)
+		var crc uint32
+		for end := s.off + s.size; pos < end; {
+			b, err := read(pos, end-pos)
+			if err != nil {
+				return err
+			}
+			crc = crc32.Update(crc, crcTable, b)
+			pos += int64(len(b))
 		}
-		pos = s.off + s.size
+		if crc != s.crc {
+			return badSnapshot("section %d checksum %08x, want %08x", i, crc, s.crc)
+		}
 	}
 	return nil
+}
+
+// verifyChunk is the read size of VerifySnapshotFile: the most it holds
+// in memory at once, whatever the file size.
+const verifyChunk = 1 << 20
+
+// VerifySnapshotFile runs the payload checks MapSnapshotFile skips — the
+// header, the zero padding before every section and every section CRC —
+// over the file at path without mapping it or reading it whole: the file
+// is streamed with pread through one buffer of at most verifyChunk
+// bytes, so its cost is one sequential read and its memory is constant.
+// Callers that map a snapshot they did not just write run it first,
+// since a corrupt payload in a mapped graph is otherwise only found by
+// the kernel that indexes out of range. Errors from corrupt content wrap
+// ErrBadSnapshot; a missing file surfaces as an fs.ErrNotExist error.
+func VerifySnapshotFile(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("graph: verify snapshot: %w", err)
+	}
+	head, err := readHeader(f, st.Size())
+	if err != nil {
+		return err
+	}
+	h, err := parseV2Header(head)
+	if err != nil {
+		return err
+	}
+	if st.Size() != h.fileSize {
+		return badSnapshot("file is %d bytes, header declares %d", st.Size(), h.fileSize)
+	}
+	buf := make([]byte, min(h.fileSize, verifyChunk))
+	return verifySections(h, func(off, n int64) ([]byte, error) {
+		b := buf[:min(int64(len(buf)), n)]
+		if _, err := f.ReadAt(b, off); err != nil {
+			return nil, badSnapshot("reading at %d: %v", off, err)
+		}
+		return b, nil
+	})
 }
 
 func allZero(b []byte) bool {

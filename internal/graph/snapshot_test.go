@@ -97,13 +97,16 @@ func snapshotBytes(t *testing.T, g *graph.Graph) []byte {
 	return data
 }
 
-// assertBadSnapshot requires both readers to reject path with
-// ErrBadSnapshot. mapped=false skips the mapped open, for corruption only
-// the heap open's payload checks can see.
+// assertBadSnapshot requires both readers and the streamed payload check
+// (VerifySnapshotFile) to reject path with ErrBadSnapshot. mapped=false
+// skips the mapped open, for corruption only payload checks can see.
 func assertBadSnapshot(t *testing.T, path, what string, mapped bool) {
 	t.Helper()
 	if _, err := graph.ReadSnapshotFile(path); !errors.Is(err, graph.ErrBadSnapshot) {
 		t.Errorf("read %s: err = %v, want ErrBadSnapshot", what, err)
+	}
+	if err := graph.VerifySnapshotFile(path); !errors.Is(err, graph.ErrBadSnapshot) {
+		t.Errorf("verify %s: err = %v, want ErrBadSnapshot", what, err)
 	}
 	if !mapped {
 		return
@@ -237,11 +240,14 @@ func TestSnapshotGarbageIsBadSnapshot(t *testing.T) {
 }
 
 func TestReadSnapshotFileMissing(t *testing.T) {
-	_, err := graph.ReadSnapshotFile(filepath.Join(t.TempDir(), "absent.snap"))
-	if err == nil || errors.Is(err, graph.ErrBadSnapshot) {
-		t.Fatalf("missing file: err = %v, want plain not-exist error", err)
-	}
-	if !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("err = %v, want fs.ErrNotExist", err)
+	path := filepath.Join(t.TempDir(), "absent.snap")
+	_, readErr := graph.ReadSnapshotFile(path)
+	for _, err := range []error{readErr, graph.VerifySnapshotFile(path)} {
+		if err == nil || errors.Is(err, graph.ErrBadSnapshot) {
+			t.Fatalf("missing file: err = %v, want plain not-exist error", err)
+		}
+		if !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("err = %v, want fs.ErrNotExist", err)
+		}
 	}
 }

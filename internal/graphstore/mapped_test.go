@@ -8,8 +8,10 @@ import (
 	"os"
 	"testing"
 
+	"graphalytics/internal/algorithms"
 	"graphalytics/internal/graph"
 	"graphalytics/internal/graphstore"
+	"graphalytics/internal/validation"
 )
 
 // In mmap mode, a second process (here: a second store over the same
@@ -147,6 +149,124 @@ func TestMapSnapshotsUpgradesV1(t *testing.T) {
 	if r2.Graph.NumVertices() != g.NumVertices() || r2.Graph.NumEdges() != g.NumEdges() {
 		t.Fatal("mapped graph differs from the built graph")
 	}
+	r2.Graph.Close()
+}
+
+// ringGraph builds an undirected ring of n vertices (n a multiple of 3)
+// with chords, big
+// enough that one adjacency entry with its high byte set points far
+// outside the vertex range.
+func ringGraph(t *testing.T, n int) *graph.Graph {
+	t.Helper()
+	b := graph.NewBuilder(false, false)
+	b.SetName("ring")
+	for i := 0; i < n; i++ {
+		b.AddEdge(int64(i), int64((i+1)%n))
+		if i%3 == 0 {
+			b.AddEdge(int64(i), int64((i+n/3)%n))
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// outAdjSection reads the outAdj row of a v2 snapshot's section table:
+// the table starts after the 56-byte fixed header and holds one
+// {off u64, len u64, crc u32} row per section, outAdj being the third
+// (see the layout in internal/graph/snapshot_v2.go).
+func outAdjSection(t *testing.T, snap []byte) (off, size int64) {
+	t.Helper()
+	const table, rowBytes, outAdjRow = 56, 20, 2
+	row := snap[table+rowBytes*outAdjRow:]
+	off = int64(binary.LittleEndian.Uint64(row[0:8]))
+	size = int64(binary.LittleEndian.Uint64(row[8:16]))
+	if off == 0 || size == 0 || off+size > int64(len(snap)) {
+		t.Fatalf("outAdj section at [%d, +%d) in a %d-byte snapshot", off, size, len(snap))
+	}
+	return off, size
+}
+
+// A snapshot found on disk with one corrupt adjacency byte is rebuilt in
+// mmap mode, as on the heap path, instead of being mapped and crashing
+// the first kernel that follows the corrupt index.
+func TestMapSnapshotsRebuildsCorruptPayload(t *testing.T) {
+	dir := t.TempDir()
+	const n = 240
+	warm := graphstore.New(graphstore.Options{Dir: dir})
+	if _, err := warm.Load("k@g1", func() (*graph.Graph, error) { return ringGraph(t, n), nil }); err != nil {
+		t.Fatal(err)
+	}
+	path := warm.SnapshotPath("k@g1")
+	snap, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, size := outAdjSection(t, snap)
+	// Set the high byte of a middle adjacency entry: the index becomes
+	// about 2^31, far outside the vertex range.
+	snap[off+(size/8)*4+3] = 0x7f
+	if err := os.WriteFile(path, snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The O(header) map-open alone accepts the file, so only the
+	// store's payload check stands between the corrupt index and a
+	// kernel.
+	m, err := graph.MapSnapshotFile(path)
+	if err != nil {
+		t.Fatalf("map-open rejected a payload-only corruption: %v", err)
+	}
+	m.Close()
+	if err := graph.VerifySnapshotFile(path); !errors.Is(err, graph.ErrBadSnapshot) {
+		t.Fatalf("VerifySnapshotFile = %v, want ErrBadSnapshot", err)
+	}
+
+	var corrupt int
+	s := graphstore.New(graphstore.Options{Dir: dir, MapSnapshots: true, OnEvent: func(e graphstore.Event) {
+		if e.Type == graphstore.EventSnapshotCorrupt {
+			corrupt++
+		}
+	}})
+	var builds int
+	build := func() (*graph.Graph, error) { builds++; return ringGraph(t, n), nil }
+	r, err := s.Get("k@g1", build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Source != graphstore.SourceBuilt || builds != 1 || corrupt != 1 {
+		t.Fatalf("source=%v builds=%d corrupt events=%d, want one rebuild after one corrupt event", r.Source, builds, corrupt)
+	}
+	params := algorithms.Params{Source: 0}
+	want, err := algorithms.RunReference(ringGraph(t, n), algorithms.BFS, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	validate := func(g *graph.Graph) {
+		t.Helper()
+		got, err := algorithms.RunReference(g, algorithms.BFS, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep := validation.Validate(got, want, g.IDs()); !rep.OK {
+			t.Fatalf("BFS output mismatch: %v", rep.Error())
+		}
+	}
+	validate(r.Graph)
+
+	// The rewritten snapshot verifies and is served mapped next time.
+	if !s.Evict("k@g1") {
+		t.Fatal("Evict must drop the resident entry")
+	}
+	r2, err := s.Get("k@g1", build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r2.Source != graphstore.SourceSnapshot || !r2.Graph.Mapped() || builds != 1 {
+		t.Fatalf("source=%v mapped=%v builds=%d, want the rewritten snapshot mapped", r2.Source, r2.Graph.Mapped(), builds)
+	}
+	validate(r2.Graph)
 	r2.Graph.Close()
 }
 

@@ -84,9 +84,11 @@ type Options struct {
 	// (graph.MapSnapshotFile) instead of copying them onto the heap: open
 	// cost is O(header) and resident cost is page-cache pages the OS can
 	// reclaim. On platforms that cannot map (no mmap, big-endian) the
-	// store reads snapshots onto the heap instead. Snapshot files in
-	// Dir are written by this store with fsync+rename, which is why the
-	// mmap fast path may skip payload checksums.
+	// store reads snapshots onto the heap instead. A snapshot the store
+	// finds on disk is first streamed through graph.VerifySnapshotFile
+	// (padding and section CRCs, read with pread, never through the
+	// mapping), so a corrupt file is rebuilt instead of crashing a
+	// kernel; a file the store has just written itself is mapped as is.
 	MapSnapshots bool
 	// MappedBudget bounds the mapped resident set in bytes, accounted
 	// separately from MemoryBudget: mapped pages are reclaimable by the
@@ -259,7 +261,7 @@ func (s *Store) getWith(key string, mat func() (*graph.Graph, Source, error)) (R
 func (s *Store) materialize(key string, build Materializer) (*graph.Graph, Source, error) {
 	if s.opts.Dir != "" {
 		path := s.snapshotPath(key)
-		g, err := s.openSnapshot(path)
+		g, err := s.openSnapshot(path, true)
 		switch {
 		case err == nil:
 			return g, SourceSnapshot, nil
@@ -295,7 +297,7 @@ func (s *Store) materializeStreamed(key string, buildTo func(path string) error)
 		return nil, "", fmt.Errorf("graphstore: streamed materialization of %s requires a snapshot directory", key)
 	}
 	path := s.snapshotPath(key)
-	g, err := s.openSnapshot(path)
+	g, err := s.openSnapshot(path, true)
 	switch {
 	case err == nil:
 		return g, SourceSnapshot, nil
@@ -310,7 +312,7 @@ func (s *Store) materializeStreamed(key string, buildTo func(path string) error)
 	if err := buildTo(path); err != nil {
 		return nil, "", fmt.Errorf("graphstore: materialize %s: %w", key, err)
 	}
-	if g, err = s.openSnapshot(path); err != nil {
+	if g, err = s.openSnapshot(path, false); err != nil {
 		return nil, "", fmt.Errorf("graphstore: reopen streamed snapshot %s: %w", key, err)
 	}
 	s.emit(Event{Type: EventSnapshotWrite, Key: key, Bytes: g.SizeBytes()})
@@ -320,9 +322,16 @@ func (s *Store) materializeStreamed(key string, buildTo func(path string) error)
 // openSnapshot opens a snapshot file, mmap-backed when configured. Only a
 // platform that cannot map falls back to the heap reader: both readers
 // share one header parser, so any other map failure — a stale v1 file, a
-// corrupt header — is final and the caller rebuilds.
-func (s *Store) openSnapshot(path string) (*graph.Graph, error) {
+// corrupt header — is final and the caller rebuilds. found marks a file
+// the store did not just write itself: before mapping one, its payload
+// is verified (the heap reader always verifies).
+func (s *Store) openSnapshot(path string, found bool) (*graph.Graph, error) {
 	if s.opts.MapSnapshots {
+		if found {
+			if err := graph.VerifySnapshotFile(path); err != nil {
+				return nil, err
+			}
+		}
 		g, err := graph.MapSnapshotFile(path)
 		if !errors.Is(err, graph.ErrMapUnsupported) {
 			return g, err

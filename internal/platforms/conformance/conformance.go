@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -366,6 +367,115 @@ func RunStateOOM(t *testing.T, p platform.Platform) {
 					continue
 				}
 				cl.Free(m, budget)
+			}
+		}
+	}
+}
+
+// hubGraph builds a hub-heavy LCC graph: the hub is adjacent to every
+// other vertex, vertices 0..core-1 form a dense core (every pair but those
+// whose sum is a multiple of 5), and the rest hang off a sparse ring. The
+// hub sits mid-range, so vertex index 0 — whose stamp equals a zeroed
+// mark — has a neighborhood that is not the whole graph. The directed
+// variant orients the hub's arcs and the core pairs both ways depending
+// on the pair, so in- and out-neighborhoods differ. It is not part of
+// Corpus: its job is to stress the LCC counting step's mark arrays, not
+// to widen the conformance ledger.
+func hubGraph(directed bool) *graph.Graph {
+	const n, core, hub = 64, 24, 40
+	var verts []int64
+	var edges []graph.Edge
+	id := func(v int) int64 { return int64(1000 + 7*v) }
+	add := func(a, b int) {
+		edges = append(edges, graph.Edge{Src: id(a), Dst: id(b), Weight: 1})
+	}
+	for v := 0; v < n; v++ {
+		verts = append(verts, id(v))
+		switch {
+		case v == hub:
+		case directed && v%3 == 0:
+			add(v, hub)
+		default:
+			add(hub, v)
+		}
+	}
+	for a := 0; a < core; a++ {
+		for b := a + 1; b < core; b++ {
+			switch {
+			case (a+b)%5 == 0:
+			case directed && (a*b)%4 == 1:
+				add(b, a)
+			default:
+				add(a, b)
+				if directed && (a+b)%7 == 0 {
+					add(b, a)
+				}
+			}
+		}
+	}
+	// The ring core, core+1, ..., n-1 skips the hub.
+	prev := core
+	for v := core + 1; v <= n; v++ {
+		next := v % n
+		if next == hub {
+			continue
+		}
+		if next == 0 {
+			next = core
+		}
+		add(prev, next)
+		prev = next
+	}
+	name := "hub-undirected"
+	if directed {
+		name = "hub-directed"
+	}
+	return mustGraph(name, directed, true, verts, edges)
+}
+
+// RunLCCRepeat guards the LCC counting step's pooled mark arrays: on a
+// hub-heavy graph, directed and undirected, it runs LCC twice on the same
+// upload under every thread count in {1, 2, 4} and, for distributed
+// platforms, every machine count in {1, 2, 4}, and requires both outputs
+// to be bit-identical to RefLCC. Marks not reset to unstamped when a job
+// checks them out show up in the first run (vertex index 0's stamp equals
+// a zeroed mark); pooled scratch that the first job leaves in a state the
+// second misreads shows up in the second.
+func RunLCCRepeat(t *testing.T, p platform.Platform) {
+	t.Helper()
+	if !p.Supports(algorithms.LCC) {
+		t.Skipf("%s does not support LCC", p.Name())
+	}
+	machines := []int{1}
+	if p.Distributed() {
+		machines = []int{1, 2, 4}
+	}
+	for _, directed := range []bool{false, true} {
+		g := hubGraph(directed)
+		want := algorithms.RefLCC(g)
+		for _, m := range machines {
+			for _, th := range []int{1, 2, 4} {
+				up, err := p.Upload(t.Context(), g, platform.RunConfig{Threads: th, Machines: m})
+				if err != nil {
+					t.Fatalf("%s: upload %s (t=%d,m=%d): %v", p.Name(), g.Name(), th, m, err)
+				}
+				for run := 1; run <= 2; run++ {
+					res, err := p.Execute(t.Context(), up, algorithms.LCC, algorithms.Params{})
+					if err != nil {
+						t.Fatalf("%s: %s t=%d m=%d run %d: %v", p.Name(), g.Name(), th, m, run, err)
+					}
+					got := res.Output.Float
+					if len(got) != len(want) {
+						t.Fatalf("%s: %s t=%d m=%d run %d: %d coefficients, want %d", p.Name(), g.Name(), th, m, run, len(got), len(want))
+					}
+					for v := range want {
+						if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+							t.Fatalf("%s: %s t=%d m=%d run %d: vertex %d has LCC %v, RefLCC %v",
+								p.Name(), g.Name(), th, m, run, g.VertexID(int32(v)), got[v], want[v])
+						}
+					}
+				}
+				up.Free()
 			}
 		}
 	}

@@ -25,6 +25,10 @@ func TestCancellation(t *testing.T) {
 	conformance.RunCancellation(t, dataflow.New())
 }
 
+func TestLCCRepeat(t *testing.T) {
+	conformance.RunLCCRepeat(t, dataflow.New())
+}
+
 func TestStateOOM(t *testing.T) {
 	conformance.RunStateOOM(t, dataflow.New())
 }

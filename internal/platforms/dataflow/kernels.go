@@ -531,6 +531,9 @@ func cdlpDenseRound(ctx context.Context, u *uploaded, counts *mplane.LabelCounts
 // neighborhoods across each triplet and shuffles one credit per closed
 // wedge. The intermediate data dwarfs the graph, which is exactly why the
 // paper's dataflow platform cannot finish LCC within the SLA at scale.
+// Unlike the other engines it keeps a sorted merge per triplet rather than
+// the shared mark-array step (algorithms.LCCMarks): its time is in the
+// credit shuffle, not the intersection.
 func lccFlow(ctx context.Context, u *uploaded) ([]float64, error) {
 	n := u.G.NumVertices()
 	sc := acquireScratch(u)

@@ -25,6 +25,10 @@ func TestCancellation(t *testing.T) {
 	conformance.RunCancellation(t, gas.New())
 }
 
+func TestLCCRepeat(t *testing.T) {
+	conformance.RunLCCRepeat(t, gas.New())
+}
+
 func TestStateOOM(t *testing.T) {
 	conformance.RunStateOOM(t, gas.New())
 }

@@ -16,9 +16,9 @@ import (
 // SSSP: the flat label buffer laid out by the upload's static CSR
 // offsets, the per-vertex write cursors, the dense label histogram, the
 // CDLP frontier flags, and the SSSP relaxation plane (distance bits,
-// claim stamps, per-thread and per-machine discovery lists). Checked out
-// of the uploaded state's pool per Execute, so steady-state iterations
-// allocate nothing.
+// claim stamps, per-thread and per-machine discovery lists), plus the
+// per-thread LCC mark arrays. Checked out of the uploaded state's pool per
+// Execute, so steady-state iterations allocate nothing.
 type gasScratch struct {
 	labelBuf []int32 // gathered neighbor labels (internal-index domain)
 	labels   []int32 // CDLP working labels
@@ -36,6 +36,8 @@ type gasScratch struct {
 	parts   [][]int32 // per-thread relax outputs, reused machine to machine
 	disc    [][]int32 // per-machine discovered lists
 	front   []int32   // global frontier
+
+	marks []algorithms.LCCMarks // LCC: one mark array per simulated thread
 }
 
 func acquireScratch(u *uploaded) *gasScratch {
@@ -504,8 +506,9 @@ func cdlpGAS(ctx context.Context, u *uploaded, iterations int) ([]int64, error) 
 }
 
 // lccGAS builds each vertex's neighborhood from the local arcs (gather),
-// then masters intersect neighbor adjacency, accounting remote adjacency
-// fetches as traffic from the owning replicas.
+// then masters count the arcs among their neighbors (the shared
+// algorithms.LCCMarks step), accounting remote adjacency fetches as
+// traffic from the owning replicas.
 func lccGAS(ctx context.Context, u *uploaded) ([]float64, error) {
 	g, cl := u.G, u.Cl
 	n := g.NumVertices()
@@ -564,11 +567,15 @@ func lccGAS(ctx context.Context, u *uploaded) ([]float64, error) {
 		return nil, err
 	}
 	// Intersect round: count arcs among neighbors.
+	sc := acquireScratch(u)
+	defer u.scratch.Put(sc)
+	sc.marks = algorithms.ResetLCCMarks(sc.marks, cl.Threads(), n)
 	out := make([]float64, n)
 	if err := cl.RunRound(func(mach int, th *cluster.Threads) error {
 		verts := u.masterVerts[mach]
 		fetchParts := make([]int64, th.Count())
 		th.ChunksIndexed(len(verts), func(w, lo, hi int) {
+			marks := sc.marks[w]
 			var fetch int64
 			for _, v := range verts[lo:hi] {
 				hood := hoods[v]
@@ -576,12 +583,13 @@ func lccGAS(ctx context.Context, u *uploaded) ([]float64, error) {
 				if d < 2 {
 					continue
 				}
+				marks.Stamp(hood, v)
 				arcs := 0
 				for _, nb := range hood {
 					if int(u.part.Master[nb]) != mach {
 						fetch += int64(g.OutDegree(nb)) * 4
 					}
-					arcs += intersectSorted(g.OutNeighbors(nb), hood, v)
+					arcs += marks.Count(g.OutNeighbors(nb), v)
 				}
 				out[v] = float64(arcs) / (float64(d) * float64(d-1))
 			}
@@ -597,28 +605,6 @@ func lccGAS(ctx context.Context, u *uploaded) ([]float64, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// intersectSorted counts common entries of two ascending lists, skipping v.
-//
-//graphalint:noalloc LCC inner loop: runs once per neighbor pair
-func intersectSorted(a, b []int32, v int32) int {
-	count, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case b[j] < a[i]:
-			j++
-		default:
-			if a[i] != v {
-				count++
-			}
-			i++
-			j++
-		}
-	}
-	return count
 }
 
 // ssspGAS relaxes the out-arcs of frontier vertices with an atomic min on

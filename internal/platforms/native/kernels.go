@@ -166,8 +166,8 @@ func wccRange(g *graph.Graph, label []int32, lo, hi int) bool {
 	return changed
 }
 
-// nativeScratch is the pooled per-job working state of the CDLP and SSSP
-// kernels, hung off the upload so repeated Execute calls reuse it.
+// nativeScratch is the pooled per-job working state of the CDLP, SSSP and
+// LCC kernels, hung off the upload so repeated Execute calls reuse it.
 type nativeScratch struct {
 	counts  mplane.LabelCounts
 	labels  []int32 // CDLP working labels (internal-index domain)
@@ -177,6 +177,7 @@ type nativeScratch struct {
 	sums    []float64 // per-worker weight partials for the Delta round
 	parts   [][]int32 // per-worker relax outputs
 	buckets algorithms.SSSPBuckets
+	marks   []algorithms.LCCMarks // LCC: one mark array per simulated thread
 }
 
 func newNativeScratch() *nativeScratch { return &nativeScratch{} }
@@ -256,18 +257,22 @@ func cdlp(ctx context.Context, u *uploaded, iterations int) ([]int64, error) {
 	return out, nil
 }
 
-// lcc computes local clustering coefficients with per-worker epoch-mark
-// arrays; the neighborhood of a vertex is the union of its in- and
-// out-neighbors.
-func lcc(ctx context.Context, g *graph.Graph, cl *cluster.Cluster) ([]float64, error) {
+// lcc computes local clustering coefficients with one pooled mark array
+// per simulated thread; the neighborhood of a vertex is the union of its
+// in- and out-neighbors.
+func lcc(ctx context.Context, u *uploaded) ([]float64, error) {
+	g, cl := u.G, u.Cl
 	n := g.NumVertices()
 	out := make([]float64, n)
 	if err := platform.CheckContext(ctx); err != nil {
 		return nil, err
 	}
+	sc := mplane.Acquire(&u.scratch, newNativeScratch)
+	defer u.scratch.Put(sc)
+	sc.marks = algorithms.ResetLCCMarks(sc.marks, cl.Threads(), n)
 	err := cl.RunRound(func(_ int, th *cluster.Threads) error {
-		th.Chunks(n, func(lo, hi int) {
-			algorithms.LCCRange(g, out, lo, hi)
+		th.ChunksIndexed(n, func(w, lo, hi int) {
+			algorithms.LCCRange(g, sc.marks[w], out, lo, hi)
 		})
 		return nil
 	})

@@ -49,9 +49,9 @@ func (e *Engine) Supports(a algorithms.Algorithm) bool {
 type uploaded struct {
 	platform.BaseUpload
 	// scratch caches the kernels' per-job working buffers (delta-stepping
-	// bucket state, CDLP frontier stamps and histogram) across Execute
-	// calls on one upload, so steady-state runs allocate only their output
-	// arrays.
+	// bucket state, CDLP frontier stamps and histogram, LCC marks) across
+	// Execute calls on one upload, so steady-state runs allocate only
+	// their output arrays.
 	scratch mplane.Pool
 }
 
@@ -94,7 +94,7 @@ func run(ctx context.Context, j *platform.Job[*uploaded]) (*algorithms.Output, e
 	case algorithms.CDLP:
 		return j.Ints(cdlp(ctx, u, p.Iterations))
 	case algorithms.LCC:
-		return j.Floats(lcc(ctx, u.G, u.Cl))
+		return j.Floats(lcc(ctx, u))
 	case algorithms.SSSP:
 		return j.Floats(sssp(ctx, u, j.Source))
 	}

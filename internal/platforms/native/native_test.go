@@ -38,6 +38,10 @@ func TestCancellation(t *testing.T) {
 	conformance.RunCancellation(t, native.New())
 }
 
+func TestLCCRepeat(t *testing.T) {
+	conformance.RunLCCRepeat(t, native.New())
+}
+
 func TestStateOOM(t *testing.T) {
 	conformance.RunStateOOM(t, native.New())
 }

@@ -259,11 +259,18 @@ func cdlpProgram(ctx context.Context, t *granula.Tracker, u *uploaded, iteration
 	return out, nil
 }
 
+// lccScratch holds one LCC mark array per simulated thread, pooled on
+// the upload so repeated LCC jobs reuse them.
+type lccScratch struct {
+	marks []algorithms.LCCMarks
+}
+
 // lccProgram: superstep 0 sends every vertex's sorted out-adjacency to all
-// neighbors; superstep 1 intersects each received list with the local
-// neighborhood. Neighbor-list messages make this the engine's most
-// memory-hungry job, matching the paper's LCC failures on message-passing
-// platforms.
+// neighbors; superstep 1 counts, in each received list, the entries of the
+// local neighborhood, which the worker has stamped into its pooled mark
+// array (algorithms.LCCMarks). Neighbor-list messages make this the
+// engine's most memory-hungry job, matching the paper's LCC failures on
+// message-passing platforms.
 func lccProgram(ctx context.Context, t *granula.Tracker, u *uploaded) ([]float64, error) {
 	n := len(u.verts)
 	out := make([]float64, n)
@@ -271,6 +278,9 @@ func lccProgram(ctx context.Context, t *granula.Tracker, u *uploaded) ([]float64
 	for v := 0; v < n; v++ {
 		hoods[v] = neighborhoodOf(u, int32(v))
 	}
+	sc := mplane.Acquire(&u.scratch, func() *lccScratch { return &lccScratch{} })
+	defer u.scratch.Put(sc)
+	sc.marks = algorithms.ResetLCCMarks(sc.marks, u.Cl.Threads(), n)
 	sizeOf := func(list []int32) int64 { return int64(len(list))*4 + 4 }
 	r := newRunner[[]int32](u, sizeOf, nil)
 	r.tracker = t
@@ -287,9 +297,11 @@ func lccProgram(ctx context.Context, t *granula.Tracker, u *uploaded) ([]float64
 		hood := hoods[v]
 		d := len(hood)
 		if d >= 2 {
+			marks := sc.marks[w.slot]
+			marks.Stamp(hood, v)
 			arcs := 0
 			for _, list := range msgs {
-				arcs += intersectCount(list, hood, v)
+				arcs += marks.Count(list, v)
 			}
 			out[v] = float64(arcs) / (float64(d) * float64(d-1))
 		}
@@ -323,26 +335,6 @@ func neighborhoodOf(u *uploaded, v int32) []int32 {
 		uniq = append(uniq, merged[i])
 	}
 	return uniq
-}
-
-// intersectCount counts common elements of two sorted lists, excluding v.
-func intersectCount(a, b []int32, v int32) int {
-	count, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case b[j] < a[i]:
-			j++
-		default:
-			if a[i] != v {
-				count++
-			}
-			i++
-			j++
-		}
-	}
-	return count
 }
 
 // ssspProgram is the classic Pregel SSSP: distance relaxations flow as

@@ -61,6 +61,7 @@ type runner[T any] struct {
 // that no locks are taken inside the compute loop.
 type worker[T any] struct {
 	r     *runner[T]
+	slot  int // thread slot within the machine, in [0, cluster Threads)
 	stage mplane.Stage[T]
 	halts []int32
 	agg   float64
@@ -124,7 +125,7 @@ func newRunner[T any](u *uploaded, msgSize func(T) int64, combine func(a, b T) T
 		if len(r.workers[m]) != cl.Threads() {
 			r.workers[m] = make([]*worker[T], cl.Threads())
 			for i := range r.workers[m] {
-				r.workers[m][i] = &worker[T]{r: r}
+				r.workers[m][i] = &worker[T]{r: r, slot: i}
 			}
 		}
 	}

@@ -29,6 +29,10 @@ func TestCancellation(t *testing.T) {
 	conformance.RunCancellation(t, pregel.New())
 }
 
+func TestLCCRepeat(t *testing.T) {
+	conformance.RunLCCRepeat(t, pregel.New())
+}
+
 func TestStateOOM(t *testing.T) {
 	conformance.RunStateOOM(t, pregel.New())
 }

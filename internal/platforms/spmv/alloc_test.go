@@ -2,6 +2,7 @@ package spmv
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"graphalytics/internal/graph"
@@ -88,5 +89,51 @@ func TestSSSPSteadyStateAllocs(t *testing.T) {
 	if allocs > 128 {
 		t.Fatalf("steady-state SSSP run allocated %.0f objects, want <= 128 "+
 			"(per-round allocation has regressed)", allocs)
+	}
+}
+
+// TestLCCAllocsIndependentOfSize guards the pooled LCC state: the mark
+// arrays, neighborhood buffers and fetch counters come from the scratch
+// pool, so after warm-up a run makes the same number of allocations at
+// any graph size, and the only bytes that grow with the graph are the
+// output vector's. A per-call mark array would keep the count equal but
+// add 4 bytes per vertex and thread.
+func TestLCCAllocsIndependentOfSize(t *testing.T) {
+	const threads, runs = 4, 3
+	measure := func(n int) (allocs float64, bytes uint64) {
+		g := allocGraph(t, n, 4, false)
+		up, err := New(BackendD).Upload(t.Context(), g, platform.RunConfig{Threads: threads, Machines: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := up.(*uploaded)
+		defer u.Free()
+		run := func() {
+			if _, err := lcc(context.Background(), u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm-up: grows the pooled scratch
+		allocs = testing.AllocsPerRun(runs, run)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	const small, large = 2000, 8000
+	smallAllocs, smallBytes := measure(small)
+	largeAllocs, largeBytes := measure(large)
+	if smallAllocs != largeAllocs {
+		t.Fatalf("steady-state LCC run allocated %.0f objects at n=%d but %.0f at n=%d, want equal "+
+			"(LCC state is no longer pooled)", smallAllocs, small, largeAllocs, large)
+	}
+	// The output vector grows by 8 bytes per vertex; allow a page of
+	// size-class rounding on top.
+	if growth, out := int64(largeBytes)-int64(smallBytes), int64(8*(large-small)); growth > out+4096 {
+		t.Fatalf("steady-state LCC bytes grew by %d from n=%d to n=%d, want <= %d (output vector only)",
+			growth, small, large, out+4096)
 	}
 }

@@ -223,8 +223,8 @@ func wcc(ctx context.Context, u *uploaded) ([]int64, error) {
 	return out, nil
 }
 
-// spmvScratch is the pooled per-job working state of the CDLP and SSSP
-// kernels, hung off the upload so repeated Execute calls reuse it.
+// spmvScratch is the pooled per-job working state of the CDLP, SSSP and
+// LCC kernels, hung off the upload so repeated Execute calls reuse it.
 type spmvScratch struct {
 	counts  mplane.LabelCounts
 	labels  []int32 // CDLP working labels (internal-index domain)
@@ -238,6 +238,10 @@ type spmvScratch struct {
 	disc    [][]int32 // per-machine merged discoveries
 	fronts  [][]int32 // per-machine frontiers
 	routing []int64   // per-destination-machine byte staging
+	// LCC state, one entry per simulated thread.
+	marks   []algorithms.LCCMarks
+	hoods   [][]int32 // neighborhood buffers
+	fetched [][]int64 // per-owner row-fetch bytes
 }
 
 func newSpmvScratch() *spmvScratch {
@@ -364,39 +368,46 @@ func cdlp(ctx context.Context, u *uploaded, iterations int) ([]int64, error) {
 
 // lcc counts triangles as masked sparse row intersections: for vertex v
 // with neighborhood N(v), the number of closed wedges is the sum over
-// u in N(v) of |row(u) ∩ N(v)|, computed by sorted-list merges. Remote
-// rows must be fetched, which the engine accounts as traffic from the row
-// owner.
+// u in N(v) of |row(u) ∩ N(v)|, counted against N(v)'s stamps in a
+// pooled per-thread mark array (algorithms.LCCMarks). Remote rows must
+// be fetched, which the engine accounts as traffic from the row owner.
 func lcc(ctx context.Context, u *uploaded) ([]float64, error) {
 	m, cl, part := u.m, u.Cl, u.part
 	n := m.n
 	out := make([]float64, n)
+	sc := mplane.Acquire(&u.scratch, newSpmvScratch)
+	defer u.scratch.Put(sc)
+	threads := cl.Threads()
+	sc.marks = algorithms.ResetLCCMarks(sc.marks, threads, n)
+	sc.hoods = mplane.Grow(sc.hoods, threads)
+	sc.fetched = mplane.Grow(sc.fetched, threads)
 	err := cl.RunRound(func(mach int, th *cluster.Threads) error {
 		verts := part.Verts[mach]
-		fetched := make([][]int64, th.Count())
-		for w := range fetched {
-			fetched[w] = make([]int64, cl.Machines())
+		for w := range sc.fetched {
+			sc.fetched[w] = mplane.GrowZero(sc.fetched[w], cl.Machines())
 		}
 		th.ChunksIndexed(len(verts), func(w, lo, hi int) {
-			var hood []int32
+			marks, hood, fetched := sc.marks[w], sc.hoods[w], sc.fetched[w]
 			for _, v := range verts[lo:hi] {
 				hood = unionSorted(m.row(v), m.col(v), v, m.directed, hood[:0])
 				d := len(hood)
 				if d < 2 {
 					continue
 				}
+				marks.Stamp(hood, v)
 				arcs := 0
 				for _, uix := range hood {
 					if o := part.Owner[uix]; int(o) != mach {
-						fetched[w][o] += int64(m.outDegree(uix)) * 4
+						fetched[o] += int64(m.outDegree(uix)) * 4
 					}
-					arcs += intersectCount(m.row(uix), hood, v)
+					arcs += marks.Count(m.row(uix), v)
 				}
 				out[v] = float64(arcs) / (float64(d) * float64(d-1))
 			}
+			sc.hoods[w] = hood
 		})
-		for w := range fetched {
-			for o, b := range fetched[w] {
+		for _, f := range sc.fetched[:th.Count()] {
+			for o, b := range f {
 				cl.Send(o, mach, b)
 			}
 		}
@@ -446,29 +457,6 @@ func unionSorted(row, col []int32, v int32, directed bool, buf []int32) []int32 
 		}
 	}
 	return buf
-}
-
-// intersectCount returns |a ∩ b| excluding the vertex v, for two sorted
-// lists.
-//
-//graphalint:noalloc LCC inner loop: runs once per neighbor pair
-func intersectCount(a, b []int32, v int32) int {
-	count, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case b[j] < a[i]:
-			j++
-		default:
-			if a[i] != v {
-				count++
-			}
-			i++
-			j++
-		}
-	}
-	return count
 }
 
 // sssp is a sparse Bellman-Ford SpMSpV over the (min, +) semiring with

@@ -50,6 +50,11 @@ func TestCancellation(t *testing.T) {
 	conformance.RunCancellation(t, spmv.New(spmv.BackendD))
 }
 
+func TestLCCRepeat(t *testing.T) {
+	conformance.RunLCCRepeat(t, spmv.New(spmv.BackendS))
+	conformance.RunLCCRepeat(t, spmv.New(spmv.BackendD))
+}
+
 func TestStateOOM(t *testing.T) {
 	conformance.RunStateOOM(t, spmv.New(spmv.BackendS))
 	conformance.RunStateOOM(t, spmv.New(spmv.BackendD))

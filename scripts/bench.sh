@@ -9,8 +9,9 @@
 #   benchstat old.txt new.txt
 # compares two snapshots; the "results" field carries the same data
 # parsed for scripting. Environment overrides:
-#   BENCH      benchmark regexp        (default: engine Execute, plan pipeline,
-#              SSSP/CDLP kernels, snapshot map-open vs heap-load, streamed build)
+#   BENCH      benchmark regexp        (default: engine Execute, engine LCC, plan
+#              pipeline, SSSP/CDLP kernels, snapshot map-open vs heap-load,
+#              streamed build)
 #   BENCHTIME  go test -benchtime      (default 3x)
 #   COUNT      go test -count          (default 1; raise for benchstat CIs)
 #   OUT        output file             (default BENCH_<date>.json)
@@ -25,10 +26,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # The RefKernel sweeps cover the delta-stepping SSSP and frontier CDLP
-# worker scaling alongside the engine Execute and plan-pipeline suites;
+# worker scaling alongside the engine Execute, engine LCC and plan-pipeline
+# suites;
 # the Snapshot trio records the mmap-vs-copying open gap and the
 # out-of-core streamed build.
-BENCH=${BENCH:-'BenchmarkEngineExecute|BenchmarkPlanSharedUpload|BenchmarkRefKernelSSSP|BenchmarkRefKernelCDLP|BenchmarkSnapshotMapOpen|BenchmarkSnapshotHeapLoad|BenchmarkBuilderStreamed'}
+BENCH=${BENCH:-'BenchmarkEngineExecute|BenchmarkEngineLCC|BenchmarkPlanSharedUpload|BenchmarkRefKernelSSSP|BenchmarkRefKernelCDLP|BenchmarkSnapshotMapOpen|BenchmarkSnapshotHeapLoad|BenchmarkBuilderStreamed'}
 BENCHTIME=${BENCHTIME:-3x}
 COUNT=${COUNT:-1}
 OUT=${OUT:-BENCH_$(date +%F).json}
